@@ -51,7 +51,6 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "cluster/router.h"
-#include "dssp/home_server.h"
 #include "engine/program.h"
 #include "engine/table.h"
 #include "sim/cluster_sim.h"
@@ -111,7 +110,7 @@ CacheMeasurement MeasureStatementCache(double scale, double min_time) {
   // Concrete SELECT instances from the workload's own generator: the query
   // mix (and its template skew) is the application's, not a synthetic one.
   auto system = dssp::bench::BuildSystem("bookstore", scale, 17);
-  dssp::service::HomeServer& backend = system->app->home();
+  dssp::backend::InMemoryBackend& backend = system->app->home();
   const dssp::engine::Database& db = backend.database();
   auto generator = system->workload->NewSession(23);
   Rng rng(91);

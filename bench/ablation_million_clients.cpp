@@ -1,13 +1,12 @@
 // Million-client event-driven simulation + invalidation-batching ablation.
 //
-// Part 1 — client scale. The epoch-based EventExecutor multiplexes the
-// closed-loop client population over a fixed thread set, so the simulator's
-// footprint is one SimEvent per in-flight client instead of one thread (or
-// one heap node churned per push) per client. This run drives the default
-// 10^6 bookstore clients against a 4-node cluster and fails (DSSP_CHECK)
-// unless the run completes with the p90 actually evaluated over measured
-// pages — the ISSUE's "bounded wall-clock, p90 evaluated" gate. The CI
-// release lane smoke-runs it at --clients 10000.
+// Part 1 — client scale. The simulator multiplexes the closed-loop client
+// population over one (time, seq) event heap on the calling thread, so its
+// footprint is one SimEvent per in-flight client instead of one thread per
+// client. This run drives the default 10^6 bookstore clients against a
+// 4-node cluster and fails (DSSP_CHECK) unless the run completes with the
+// p90 actually evaluated over measured pages. The CI release lane
+// smoke-runs it at --clients 10000.
 //
 // Part 2 — bus batching. A standalone InvalidationBus fan-out under an
 // update storm, measured against a wire whose dominant cost is per-FRAME
@@ -206,12 +205,10 @@ int main(int argc, char** argv) {
           ? static_cast<double>(scale.result.events_executed) / scale.wall_s
           : 0.0;
   std::printf(
-      "  completed in %.1fs wall: %llu events (%.0f events/s wall, "
-      "%llu epochs)\n",
+      "  completed in %.1fs wall: %llu events (%.0f events/s wall)\n",
       scale.wall_s,
       static_cast<unsigned long long>(scale.result.events_executed),
-      events_per_s,
-      static_cast<unsigned long long>(scale.result.executor_epochs));
+      events_per_s);
   std::printf(
       "  pages measured=%zu throughput=%.1f pages/s p90=%.3fs "
       "hit_rate=%.3f failed=%llu\n\n",
@@ -259,7 +256,6 @@ int main(int argc, char** argv) {
     doc.Set("wall_s", scale.wall_s);
     doc.Set("events_executed", scale.result.events_executed);
     doc.Set("events_per_s_wall", events_per_s);
-    doc.Set("executor_epochs", scale.result.executor_epochs);
     doc.Set("pages_measured",
             static_cast<uint64_t>(scale.result.pages_measured));
     doc.Set("throughput_pages_per_s", scale.result.throughput_pages_per_s);

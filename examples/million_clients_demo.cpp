@@ -1,5 +1,5 @@
 // Large-population failover demo: tens of thousands of closed-loop clients
-// multiplexed over the epoch-based event executor, with one cluster member
+// multiplexed over the simulator's event heap, with one cluster member
 // killed mid-run and rejoined later — under a *batched* invalidation bus.
 // While the member is down, the bus queues every notice it misses; the
 // rejoin drains that backlog in coalesced multi-notice frames, so the
@@ -75,9 +75,8 @@ int main(int argc, char** argv) {
   const dssp::sim::SimResult& tenant = result->tenants[0];
 
   std::printf("Run summary:\n  %s\n\n", tenant.ToString().c_str());
-  std::printf("Executor: %llu events over %llu epochs\n",
-              static_cast<unsigned long long>(result->events_executed),
-              static_cast<unsigned long long>(result->executor_epochs));
+  std::printf("Events executed: %llu\n",
+              static_cast<unsigned long long>(result->events_executed));
   std::printf("Failover:\n");
   std::printf("  kill fired at:     t=%.3fs\n", result->kill_fired_at_s);
   std::printf("  rejoin fired at:   t=%.3fs\n", result->rejoin_fired_at_s);

@@ -19,8 +19,10 @@ Status PoolOptions::Validate() const {
   return Status::Ok();
 }
 
+// The queue is sized before Validate() runs; the clamp lets Validate report
+// a bad size instead of QueueingResource's bare check.
 ConnectionPool::ConnectionPool(PoolOptions options)
-    : options_(options) {
+    : options_(options), admit_queue_(std::max(options.size, 1)) {
   DSSP_CHECK_OK(options_.Validate());
   connections_.reserve(static_cast<size_t>(options_.size));
   for (int i = 0; i < options_.size; ++i) {
@@ -85,23 +87,13 @@ ConnectionPool::Lease ConnectionPool::Acquire() {
 ConnectionPool::Admission ConnectionPool::Admit(double arrival,
                                                 double service_s) {
   MutexLock lock(mu_);
-  // Earliest-free connection — with lease_latency_s == 0 this is exactly
-  // sim::QueueingResource::Schedule, which the single-backend timing model
-  // is bit-compared against.
-  size_t best = 0;
-  for (size_t i = 1; i < connections_.size(); ++i) {
-    if (connections_[i]->busy_until_s_ < connections_[best]->busy_until_s_) {
-      best = i;
-    }
-  }
-  PooledConnection& conn = *connections_[best];
-  const double start = std::max(arrival, conn.busy_until_s_);
+  const QueueingResource::Slot slot =
+      admit_queue_.Schedule(arrival, options_.lease_latency_s + service_s);
   Admission admission;
-  admission.connection = static_cast<int>(best);
-  admission.wait_s = start - arrival;
+  admission.done = slot.done;
+  admission.connection = static_cast<int>(slot.worker);
+  admission.wait_s = slot.start - arrival;
   admission.queued = admission.wait_s > 0;
-  conn.busy_until_s_ = start + options_.lease_latency_s + service_s;
-  admission.done = conn.busy_until_s_;
 
   ++leases_granted_;
   if (admission.queued) {
@@ -114,7 +106,7 @@ ConnectionPool::Admission ConnectionPool::Admit(double arrival,
       ++lease_timeouts_;
     }
   }
-  MaybeProbe(conn);
+  MaybeProbe(*connections_[slot.worker]);
   return admission;
 }
 

@@ -8,6 +8,7 @@
 #include "backend/home_backend.h"
 #include "backend/statement_cache.h"
 #include "common/mutex.h"
+#include "common/queueing.h"
 #include "common/status.h"
 
 namespace dssp::backend {
@@ -50,7 +51,7 @@ struct PoolOptions {
 
 // One pooled home-database connection. Leased exclusively; carries its own
 // prepared-statement cache (statements are connection-scoped, like a real
-// DBMS) and a virtual-time busy horizon (the simulator's capacity image).
+// DBMS).
 class PooledConnection {
  public:
   PooledConnection(int id, size_t statement_capacity)
@@ -64,8 +65,7 @@ class PooledConnection {
   friend class ConnectionPool;
   int id_;
   StatementCache statements_;
-  // Owned by the pool's mutex (busy horizon, lease cadence, health).
-  double busy_until_s_ = 0;
+  // Owned by the pool's mutex (lease cadence, health).
   uint64_t leases_ = 0;
   uint64_t generation_ = 0;  // Bumped on recycle.
 };
@@ -77,10 +77,9 @@ class PooledConnection {
 //    ticketed blocking — pool exhaustion queues the caller (backpressure)
 //    and never fails the operation.
 //  - Admit(arrival, service): the virtual-time path the simulator charges
-//    home work through. Jobs go to the earliest-free connection; with
-//    lease_latency_s == 0 the arithmetic is exactly
-//    sim::QueueingResource::Schedule, so the single-backend timing model is
-//    bit-identical.
+//    home work through. Jobs go to the first earliest-free connection via
+//    the pool's QueueingResource, each holding it for lease_latency_s +
+//    service.
 //
 // Health: every probe_every leases a connection's wire is probed through
 // the configured HealthProber; a failure recycles the connection (dropping
@@ -163,6 +162,8 @@ class ConnectionPool {
 
   mutable Mutex mu_;
   CondVar cv_;
+  // Virtual-time busy horizon of each connection (Admit only).
+  QueueingResource admit_queue_ DSSP_GUARDED_BY(mu_);
   std::vector<PooledConnection*> free_ DSSP_GUARDED_BY(mu_);  // LIFO stack.
   uint64_t next_ticket_ DSSP_GUARDED_BY(mu_) = 0;
   uint64_t serving_ticket_ DSSP_GUARDED_BY(mu_) = 0;

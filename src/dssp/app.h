@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "analysis/exposure.h"
+#include "backend/in_memory_backend.h"
 #include "common/status.h"
 #include "dssp/channel.h"
-#include "dssp/home_server.h"
 #include "dssp/node.h"
 #include "dssp/retry.h"
 #include "engine/query_result.h"
@@ -79,8 +79,8 @@ class ScalableApp {
  public:
   ScalableApp(std::string app_id, CacheBackend* dssp, crypto::KeyRing keyring);
 
-  HomeServer& home() { return home_; }
-  const HomeServer& home() const { return home_; }
+  backend::InMemoryBackend& home() { return home_; }
+  const backend::InMemoryBackend& home() const { return home_; }
   const std::string& app_id() const { return home_.app_id(); }
   const templates::TemplateSet& templates() const {
     return home_.templates();
@@ -155,7 +155,7 @@ class ScalableApp {
     std::atomic<uint64_t> failures{0};
   };
 
-  HomeServer home_;
+  backend::InMemoryBackend home_;
   CacheBackend* dssp_;
   analysis::ExposureAssignment exposure_;
   bool finalized_ = false;

@@ -20,8 +20,7 @@ namespace dssp::sim {
 //
 // The default (num_hosts = 0, pool_size = 0) gives every tenant a private
 // host whose pool has config.home_workers connections and zero lease
-// overhead — arithmetic identical to the per-tenant QueueingResource it
-// replaced, so legacy callers see bit-identical timing.
+// overhead — the topology RunSimulation and RunMultiTenantSimulation use.
 struct HomeTopology {
   int num_hosts = 0;          // 0 = one host per tenant.
   int pool_size = 0;          // Connections per host; 0 = config.home_workers.
@@ -65,9 +64,8 @@ struct ClusterSimResult {
   double kill_fired_at_s = -1;    // Exact virtual kill instant.
   double rejoin_fired_at_s = -1;  // Exact virtual rejoin instant.
 
-  // Event-executor accounting.
+  // Events the loop handed to its handler, the stopping one included.
   uint64_t events_executed = 0;
-  uint64_t executor_epochs = 0;
 
   // Home-tier accounting (per HomeTopology). Backpressure proof: every op
   // completes — saturation shows up as queued leases and wait time, never as
@@ -84,11 +82,12 @@ struct ClusterSimResult {
 // single shared DSSP worker pool becomes one FIFO pool per member node, and
 // each operation's service time is charged to the member that actually
 // handled it (the router records the route thread-locally per operation).
-// Driven by the epoch-based EventExecutor, so million-client runs multiplex
-// over a fixed thread set instead of a global heap; execution stays
-// serialized in (time, seq) order, and timing semantics are identical to
-// RunMultiTenantSimulation, so a 1-node cluster reproduces the single-node
-// numbers bit for bit.
+// It is the same loop RunMultiTenantSimulation runs without a router — one
+// (time, seq) event heap executed on the calling thread — so a 1-node
+// cluster reproduces the single-node numbers bit for bit.
+//
+// Each tenant's home backend executes on the run's host pools and is put
+// back on the host it had before the call on return.
 //
 // Every tenant's ScalableApp must already be constructed over `router` as
 // its CacheBackend and finalized/populated.

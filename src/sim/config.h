@@ -54,12 +54,6 @@ struct SimConfig {
   // think_time_mean_s / num_clients instead. Kept opt-in so the published
   // figure runs stay bit-identical under the legacy seed.
   bool exponential_arrivals = false;
-
-  // Event-executor shape (RunClusterSimulation only; 0 = auto). Neither
-  // affects results — execution order is deterministic in (time, seq)
-  // regardless — only how the harvest/sort work is spread over threads.
-  int sim_threads = 0;
-  double sim_epoch_s = 0;
 };
 
 }  // namespace dssp::sim

@@ -69,7 +69,8 @@ StatusOr<SimResult> RunSimulation(service::ScalableApp& app,
 
 // Multi-tenant variant: all tenants' clients share the DSSP node (and its
 // worker pool); each tenant's misses and updates queue at its own home
-// server. Returns one SimResult per tenant, in input order.
+// server. Returns one SimResult per tenant, in input order. Both entry
+// points run RunClusterSimulation's loop with no router.
 StatusOr<std::vector<SimResult>> RunMultiTenantSimulation(
     std::vector<Tenant> tenants, const SimConfig& config);
 

@@ -1,9 +1,9 @@
 // Connection-pool tests: bounded leases with FIFO backpressure (exhaustion
-// queues, never fails), virtual-time admission bit-identical to the
-// simulator's QueueingResource, lease-deadline accounting, health probes
-// over a seeded faulty wire marking a pool suspect and recycling
-// connections, and a concurrent soak proving zero lost updates through a
-// pooled backend under probe-failure churn (oracle-checked).
+// queues, never fails), virtual-time admission with lease-deadline and
+// lease-latency accounting, health probes over a seeded faulty wire marking
+// a pool suspect and recycling connections, and a concurrent soak proving
+// zero lost updates through a pooled backend under probe-failure churn
+// (oracle-checked).
 
 #include "backend/connection_pool.h"
 
@@ -23,7 +23,6 @@
 #include "crypto/keyring.h"
 #include "dssp/channel.h"
 #include "dssp/protocol.h"
-#include "sim/resource.h"
 
 namespace dssp::backend {
 namespace {
@@ -57,25 +56,17 @@ std::string EncryptedSql(const InMemoryBackend& backend,
 
 // ----- Virtual-time admission ---------------------------------------------
 
-TEST(ConnectionPoolAdmit, MatchesQueueingResourceBitForBit) {
-  for (const int workers : {1, 2, 5}) {
-    PoolOptions options;
-    options.size = workers;
-    ConnectionPool pool(options);
-    sim::QueueingResource resource(workers);
-    Rng rng(17);
-    double arrival = 0;
-    for (int i = 0; i < 500; ++i) {
-      arrival += rng.NextExponential(0.01);
-      const double service = rng.NextExponential(0.02);
-      const ConnectionPool::Admission admission =
-          pool.Admit(arrival, service);
-      // Identical arithmetic, not just approximately equal: the simulator's
-      // single-backend timing model is byte-diffed against this.
-      EXPECT_EQ(admission.done, resource.Schedule(arrival, service))
-          << "workers=" << workers << " job " << i;
-    }
-  }
+TEST(ConnectionPoolAdmit, EarliestFreeConnectionServesEachJob) {
+  PoolOptions options;
+  options.size = 2;
+  ConnectionPool pool(options);
+  EXPECT_EQ(pool.Admit(0.0, 2.0).connection, 0);
+  EXPECT_EQ(pool.Admit(0.0, 1.0).connection, 1);
+  // Connection 1 frees first (t=1), so the third job queues there.
+  const ConnectionPool::Admission third = pool.Admit(0.5, 1.0);
+  EXPECT_EQ(third.connection, 1);
+  EXPECT_DOUBLE_EQ(third.wait_s, 0.5);
+  EXPECT_DOUBLE_EQ(third.done, 2.0);
 }
 
 TEST(ConnectionPoolAdmit, QueuedWaitIsBackpressureNotFailure) {

@@ -1,14 +1,19 @@
-// Cluster simulator tests: a 1-node cluster must reproduce the single-node
-// simulator's numbers exactly, and the kill/rejoin scenario must complete
-// with zero failed client operations.
+// Cluster simulator tests: a 1-node cluster reproducing the single-node
+// entry points' numbers exactly, golden numbers for a kill/rejoin run,
+// tenants handed back to their own home pools, and the kill/rejoin scenario
+// completing with zero failed client operations.
 
 #include "sim/cluster_sim.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/router.h"
+#include "common/random.h"
 #include "crypto/keyring.h"
 #include "dssp/app.h"
 #include "dssp/node.h"
@@ -118,6 +123,101 @@ TEST(ClusterSimTest, KillAndRejoinCompletesWithZeroFailedOps) {
   }
 }
 
+// ToString() plus the full-precision mean and percentiles and the cluster
+// counters: any change to the loop's arithmetic or event order shows here.
+std::string Fingerprint(const ClusterSimResult& result) {
+  const SimResult& t = result.tenants[0];
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                " mean=%.17g p50=%.17g p90=%.17g p99=%.17g fallback=%llu "
+                "unrouted=%llu events=%llu replayed=%llu node_ops=",
+                t.mean_response_s, t.p50_response_s, t.p90_response_s,
+                t.p99_response_s,
+                static_cast<unsigned long long>(result.fallback_ops),
+                static_cast<unsigned long long>(result.unrouted_ops),
+                static_cast<unsigned long long>(result.events_executed),
+                static_cast<unsigned long long>(result.rejoin_replayed));
+  std::string out = t.ToString() + buf;
+  for (size_t i = 0; i < result.node_ops.size(); ++i) {
+    out += (i == 0 ? "" : ",") + std::to_string(result.node_ops[i]);
+  }
+  return out;
+}
+
+// Recorded from the sharded-executor implementation this loop replaced.
+TEST(ClusterSimGolden, FourMembersWithKillAndRejoin) {
+  cluster::ClusterOptions options;
+  options.num_nodes = 4;
+  options.replication = 2;
+  cluster::ClusterRouter router(options);
+  System system = BuildBookstore(&router);
+
+  const SimConfig config = TestConfig();
+  ClusterScenario scenario;
+  scenario.kill_node = 1;
+  scenario.kill_at_s = config.duration_s / 3.0;
+  scenario.rejoin_at_s = 2.0 * config.duration_s / 3.0;
+  auto result = RunClusterSimulation(
+      router, {Tenant{system.app.get(), system.generator.get(), 60}}, config,
+      scenario);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Fingerprint(*result),
+            "clients=60 pages=1885 ops=3796 mean=0.285s p50=0.232s "
+            "p90=0.684s p99=1.603s hit_rate=0.449 invalidated=1231 "
+            "home_q=1863 home_u=416 mean=0.28481341668738824 "
+            "p50=0.23173946499684794 p90=0.68391164728142928 "
+            "p99=1.6032453906900417 fallback=51 unrouted=0 events=5684 "
+            "replayed=131 node_ops=1037,655,1185,919");
+}
+
+// The run's home hosts die with it; each tenant must come back on the pool
+// it had before, so querying it and reading Stats() afterwards is safe.
+TEST(ClusterSimTest, TenantsReturnToTheirOwnPoolAfterTheRun) {
+  cluster::ClusterOptions options;
+  options.num_nodes = 2;
+  cluster::ClusterRouter router(options);
+  System clustered = BuildBookstore(&router);
+  service::DsspNode node;
+  System single = BuildBookstore(&node);
+
+  SimConfig config = TestConfig();
+  config.duration_s = 10.0;
+  ASSERT_TRUE(RunClusterSimulation(
+                  router,
+                  {Tenant{clustered.app.get(), clustered.generator.get(), 10}},
+                  config)
+                  .ok());
+  ASSERT_TRUE(RunMultiTenantSimulation(
+                  {Tenant{single.app.get(), single.generator.get(), 10}},
+                  config)
+                  .ok());
+
+  for (System* system : {&clustered, &single}) {
+    backend::InMemoryBackend& home = system->app->home();
+    EXPECT_EQ(home.host(), nullptr);
+    // Fresh traffic after the run: the misses and updates lease from the
+    // backend's own pool, which Stats() reads back.
+    const uint64_t granted_before = home.Stats().pool.leases_granted;
+    Rng rng(5);
+    uint64_t home_ops = 0;
+    for (int page = 0; page < 5; ++page) {
+      for (const DbOp& op : system->generator->NextPage(rng)) {
+        service::AccessStats stats;
+        if (op.is_update) {
+          EXPECT_TRUE(
+              system->app->Update(op.template_id, op.params, &stats).ok());
+        } else {
+          EXPECT_TRUE(
+              system->app->Query(op.template_id, op.params, &stats).ok());
+        }
+        if (!stats.cache_hit || stats.is_update) ++home_ops;
+      }
+    }
+    EXPECT_GT(home_ops, 0u);
+    EXPECT_EQ(home.Stats().pool.leases_granted, granted_before + home_ops);
+  }
+}
+
 // Equality across every field two runs of the same workload must agree on.
 void ExpectSameSimResult(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.pages_completed, b.pages_completed);
@@ -153,32 +253,6 @@ TEST(ClusterSimTest, ExponentialArrivalsReproduceSingleNodeNumbers) {
       {Tenant{single.app.get(), single.generator.get(), 40}}, config);
   ASSERT_TRUE(single_result.ok());
   ExpectSameSimResult(cluster_result->tenants[0], (*single_result)[0]);
-}
-
-TEST(ClusterSimTest, ExecutorThreadShapeDoesNotChangeResults) {
-  auto run = [](int threads, double epoch_s) {
-    cluster::ClusterOptions options;
-    options.num_nodes = 2;
-    cluster::ClusterRouter router(options);
-    System system = BuildBookstore(&router);
-    SimConfig config = TestConfig();
-    config.duration_s = 25.0;
-    config.exponential_arrivals = true;
-    config.sim_threads = threads;
-    config.sim_epoch_s = epoch_s;
-    auto result = RunClusterSimulation(
-        router, {Tenant{system.app.get(), system.generator.get(), 30}},
-        config);
-    EXPECT_TRUE(result.ok());
-    return *result;
-  };
-
-  const ClusterSimResult a = run(1, 0.25);
-  const ClusterSimResult b = run(4, 0.05);
-  ExpectSameSimResult(a.tenants[0], b.tenants[0]);
-  EXPECT_EQ(a.pages_measured, b.pages_measured);
-  EXPECT_EQ(a.node_ops, b.node_ops);
-  EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
 TEST(ClusterSimTest, BatchedBusReproducesUnbatchedResultsAtEqualLag) {
@@ -222,15 +296,15 @@ TEST(ClusterSimTest, ScenarioFiresAtExactVirtualTime) {
   System system = BuildBookstore(&router);
 
   // A deliberately quiet tail: two clients with think times far longer than
-  // the run leave the event queue empty around the scenario instants. The
-  // legacy lazy check (fire on the next popped client event) would apply
-  // the kill late or never; first-class events fire exactly on time.
+  // the run leave the event queue empty around the scenario instants. A
+  // lazy check (fire on the next popped client event) would apply the kill
+  // late or never; first-class events fire exactly on time.
   SimConfig config = TestConfig();
   config.duration_s = 30.0;
   config.think_time_mean_s = 500.0;
   ClusterScenario scenario;
   scenario.kill_node = 2;
-  scenario.kill_at_s = 11.03125;  // Off the epoch grid on purpose.
+  scenario.kill_at_s = 11.03125;
   scenario.rejoin_at_s = 23.015625;
 
   auto result = RunClusterSimulation(

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/hash.h"
+#include "common/queueing.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -235,6 +236,53 @@ TEST(StringsTest, StripWhitespace) {
 TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("SELECT *", "SELECT"));
   EXPECT_FALSE(StartsWith("SEL", "SELECT"));
+}
+
+// ----- QueueingResource -----
+
+TEST(QueueingResourceTest, SingleWorkerFifo) {
+  QueueingResource r(1);
+  EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0).done, 1.0);
+  // Arrives while busy: queues.
+  EXPECT_DOUBLE_EQ(r.Schedule(0.5, 1.0).done, 2.0);
+  // Arrives after idle: starts immediately.
+  EXPECT_DOUBLE_EQ(r.Schedule(5.0, 0.5).done, 5.5);
+}
+
+TEST(QueueingResourceTest, MultiWorkerParallelism) {
+  QueueingResource r(2);
+  EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0).done, 1.0);
+  EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0).done, 1.0);  // Second worker.
+  EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0).done, 2.0);  // Queues behind one.
+}
+
+TEST(QueueingResourceTest, ReportsFirstEarliestFreeWorkerAndStart) {
+  QueueingResource r(3);
+  const QueueingResource::Slot a = r.Schedule(0.0, 2.0);
+  const QueueingResource::Slot b = r.Schedule(0.0, 1.0);
+  const QueueingResource::Slot c = r.Schedule(0.0, 1.0);
+  EXPECT_EQ(a.worker, 0u);
+  EXPECT_EQ(b.worker, 1u);
+  EXPECT_EQ(c.worker, 2u);
+  // Workers 1 and 2 tie at t=1: the first one wins, and the job waits.
+  const QueueingResource::Slot d = r.Schedule(0.5, 1.0);
+  EXPECT_EQ(d.worker, 1u);
+  EXPECT_DOUBLE_EQ(d.start, 1.0);
+  EXPECT_DOUBLE_EQ(d.done, 2.0);
+  // An arrival after every worker is free starts on arrival, still on the
+  // earliest-free worker (2, free since t=1).
+  const QueueingResource::Slot e = r.Schedule(9.0, 1.0);
+  EXPECT_EQ(e.worker, 2u);
+  EXPECT_DOUBLE_EQ(e.start, 9.0);
+}
+
+TEST(QueueingResourceTest, BacklogAndReset) {
+  QueueingResource r(1);
+  r.Schedule(0.0, 3.0);
+  EXPECT_DOUBLE_EQ(r.CurrentBacklog(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(r.CurrentBacklog(4.0), 0.0);
+  r.Reset();
+  EXPECT_DOUBLE_EQ(r.CurrentBacklog(1.0), 0.0);
 }
 
 }  // namespace

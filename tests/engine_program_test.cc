@@ -13,7 +13,7 @@
 //     and QueryProgram::Execute is bit-identical (serialized bytes, ordered
 //     flag, error Status) to the interpreter across randomized parameter
 //     bindings — valid, NULL, and deliberately mistyped.
-//  5. The HomeServer wire path: every template-shaped query is served by a
+//  5. The home-backend wire path: every template-shaped query is served by a
 //     compiled program (interpreter_fallback_queries() == 0) until
 //     SetProgramExecutionEnabled(false) routes them back.
 //  6. Randomized synthetic templates (joins, aggregates, GROUP BY, ORDER BY
@@ -520,7 +520,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, WorkloadProgramTest,
                                            "bookstore"));
 
 // ---------------------------------------------------------------------------
-// 5. HomeServer wire path: zero interpreter fallbacks.
+// 5. Home-backend wire path: zero interpreter fallbacks.
 // ---------------------------------------------------------------------------
 
 TEST(HomeServerProgramTest, TemplateQueriesNeverFallBackToInterpreter) {
@@ -531,7 +531,7 @@ TEST(HomeServerProgramTest, TemplateQueriesNeverFallBackToInterpreter) {
   ASSERT_TRUE(workload->Setup(app, /*scale=*/0.1, /*seed=*/3).ok());
   ASSERT_TRUE(app.Finalize().ok());
 
-  service::HomeServer& home = app.home();
+  backend::InMemoryBackend& home = app.home();
   const Database& db = home.database();
   Rng rng(11);
   uint64_t sent = 0;

@@ -1,13 +1,12 @@
-// EventExecutor determinism tests: the epoch-based sharded executor must
-// reproduce the exact global (time, seq) order a single min-heap produces,
-// independent of shard count, thread count, and epoch width.
+// Event loop tests for the simulator's EventQueue: (time, seq) execution
+// order, follow-up events scheduled from a handler, stop semantics, and the
+// check that virtual time never goes backwards.
 
-#include "sim/event_executor.h"
+#include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <queue>
-#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -15,20 +14,29 @@
 namespace dssp::sim {
 namespace {
 
-struct Executed {
-  double time;
-  uint64_t seq;
-  int32_t client;
-  SimEventKind kind;
+TEST(EventQueueTest, EqualTimeEventsExecuteInScheduleOrder) {
+  EventQueue events;
+  // Same instant for every client: only seq can order them.
+  for (int32_t c = 0; c < 21; ++c) events.Schedule(1.0, c);
+  events.Schedule(0.5, 99, SimEventKind::kKill);
 
-  bool operator==(const Executed& other) const {
-    return time == other.time && seq == other.seq &&
-           client == other.client && kind == other.kind;
+  std::vector<SimEvent> order;
+  events.Run([&](const SimEvent& event) {
+    order.push_back(event);
+    return true;
+  });
+
+  ASSERT_EQ(order.size(), 22u);
+  EXPECT_EQ(order[0].kind, SimEventKind::kKill);  // Earlier time first.
+  for (size_t i = 1; i < order.size(); ++i) {
+    EXPECT_EQ(order[i].seq, i - 1) << "position " << i;
+    EXPECT_EQ(order[i].client, static_cast<int32_t>(i - 1));
   }
-};
+  EXPECT_EQ(events.events_executed(), 22u);
+}
 
-// Reference model: the classic single priority queue with (time, seq)
-// ordering, seq assigned in push order.
+// Reference model: a plain priority queue over (time, seq) with seq
+// assigned in push order.
 struct RefEvent {
   double time;
   uint64_t seq;
@@ -39,182 +47,120 @@ struct RefEvent {
   }
 };
 
-TEST(EventExecutorTest, EqualTimeEventsExecuteInScheduleOrder) {
-  EventExecutorOptions options;
-  options.shards = 7;  // Not a divisor of the client count: shards mix.
-  options.harvest_threads = 1;
-  EventExecutor executor(options);
+TEST(EventQueueTest, ClosedLoopOrderMatchesReferenceHeap) {
+  // Each event schedules a follow-up until a fixed horizon; every fifth
+  // follow-up has zero delay, so it ties with the event being handled.
+  constexpr int kClients = 50;
+  constexpr double kHorizon = 10.0;
+  auto delay_for = [](uint64_t seq, Rng& think) {
+    return (seq % 5 == 0) ? 0.0 : think.NextExponential(0.5);
+  };
 
-  // Same instant, clients spread over every shard: only seq can order them.
-  for (int32_t c = 0; c < 21; ++c) executor.Schedule(1.0, c);
-
-  std::vector<Executed> order;
-  executor.Run([&](const SimEvent& event) {
-    order.push_back({event.time, event.seq, event.client, event.kind});
-    return true;
-  });
-
-  ASSERT_EQ(order.size(), 21u);
-  for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i].seq, i) << "position " << i;
-    EXPECT_EQ(order[i].client, static_cast<int32_t>(i));
-  }
-}
-
-// Runs a closed-loop workload (each event schedules a follow-up until a
-// deterministic per-client horizon) under the given executor shape and
-// returns the execution order.
-std::vector<Executed> RunClosedLoop(const EventExecutorOptions& options,
-                                    int num_clients, double horizon_s) {
-  EventExecutor executor(options);
+  EventQueue events;
   Rng rng(1234);
-  for (int32_t c = 0; c < num_clients; ++c) {
-    executor.Schedule(rng.NextDouble() * 2.0, c);
+  for (int32_t c = 0; c < kClients; ++c) {
+    events.Schedule(rng.NextDouble() * 2.0, c);
   }
   Rng think(99);
-  std::vector<Executed> order;
-  executor.Run([&](const SimEvent& event) {
-    order.push_back({event.time, event.seq, event.client, event.kind});
-    // Deterministic follow-up think time; stops past the horizon. Includes
-    // zero-delay reschedules, which land in the epoch being executed.
-    const double delay = (event.seq % 5 == 0) ? 0.0 : think.NextExponential(0.5);
-    const double next = event.time + delay;
-    if (next <= horizon_s) executor.Schedule(next, event.client);
+  std::vector<SimEvent> order;
+  events.Run([&](const SimEvent& event) {
+    order.push_back(event);
+    const double next = event.time + delay_for(event.seq, think);
+    if (next <= kHorizon) events.Schedule(next, event.client);
     return true;
   });
-  return order;
-}
 
-TEST(EventExecutorTest, OrderMatchesSingleHeapReference) {
-  EventExecutorOptions options;
-  options.shards = 16;
-  options.harvest_threads = 1;
-  options.epoch_s = 0.25;
-  const std::vector<Executed> order = RunClosedLoop(options, 50, 10.0);
-
-  // Reference: identical workload through one priority queue.
-  std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<RefEvent>>
-      events;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>> ref;
   uint64_t seq = 0;
-  Rng rng(1234);
-  for (int32_t c = 0; c < 50; ++c) {
-    events.push(RefEvent{rng.NextDouble() * 2.0, seq++, c});
+  Rng ref_rng(1234);
+  for (int32_t c = 0; c < kClients; ++c) {
+    ref.push(RefEvent{ref_rng.NextDouble() * 2.0, seq++, c});
   }
-  Rng think(99);
-  std::vector<Executed> reference;
-  while (!events.empty()) {
-    const RefEvent event = events.top();
-    events.pop();
-    reference.push_back(
-        {event.time, event.seq, event.client, SimEventKind::kClient});
-    const double delay =
-        (event.seq % 5 == 0) ? 0.0 : think.NextExponential(0.5);
-    const double next = event.time + delay;
-    if (next <= 10.0) events.push(RefEvent{next, seq++, event.client});
+  Rng ref_think(99);
+  std::vector<RefEvent> reference;
+  while (!ref.empty()) {
+    const RefEvent event = ref.top();
+    ref.pop();
+    reference.push_back(event);
+    const double next = event.time + delay_for(event.seq, ref_think);
+    if (next <= kHorizon) ref.push(RefEvent{next, seq++, event.client});
   }
 
   ASSERT_EQ(order.size(), reference.size());
   for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_TRUE(order[i] == reference[i]) << "diverged at event " << i;
+    ASSERT_EQ(order[i].time, reference[i].time) << "diverged at event " << i;
+    ASSERT_EQ(order[i].seq, reference[i].seq) << "diverged at event " << i;
+    ASSERT_EQ(order[i].client, reference[i].client)
+        << "diverged at event " << i;
   }
+  EXPECT_EQ(events.events_executed(), order.size());
 }
 
-TEST(EventExecutorTest, OrderInvariantUnderShardAndThreadShape) {
-  EventExecutorOptions base;
-  base.shards = 1;
-  base.harvest_threads = 1;
-  base.epoch_s = 0.5;
-  const std::vector<Executed> reference = RunClosedLoop(base, 64, 8.0);
-  ASSERT_FALSE(reference.empty());
+TEST(EventQueueTest, FollowUpEventsInterleaveWithPendingOnes) {
+  EventQueue events;
+  events.Schedule(1.0, 0);
+  events.Schedule(5.0, 1);
 
-  struct Shape {
-    size_t shards;
-    int threads;
-    double epoch_s;
-  };
-  for (const Shape& shape : {Shape{64, 4, 0.5}, Shape{3, 2, 0.05},
-                             Shape{128, 8, 2.0}, Shape{16, 1, 0.125}}) {
-    EventExecutorOptions options;
-    options.shards = shape.shards;
-    options.harvest_threads = shape.threads;
-    options.epoch_s = shape.epoch_s;
-    const std::vector<Executed> order = RunClosedLoop(options, 64, 8.0);
-    ASSERT_EQ(order.size(), reference.size())
-        << "shards=" << shape.shards << " threads=" << shape.threads;
-    for (size_t i = 0; i < order.size(); ++i) {
-      ASSERT_TRUE(order[i] == reference[i])
-          << "shards=" << shape.shards << " threads=" << shape.threads
-          << " diverged at event " << i;
-    }
-  }
+  std::vector<int32_t> clients;
+  events.Run([&](const SimEvent& event) {
+    clients.push_back(event.client);
+    // Scheduled while t=5 is pending: must run before it.
+    if (event.seq == 0) events.Schedule(3.0, 2);
+    return true;
+  });
+  EXPECT_EQ(clients, (std::vector<int32_t>{0, 2, 1}));
 }
 
-TEST(EventExecutorTest, HandlerStopDiscardsRemainingEvents) {
-  EventExecutor executor;
+TEST(EventQueueTest, ScenarioEventsTieInScheduleOrder) {
+  EventQueue events;
+  events.Schedule(2.0, 1, SimEventKind::kKill);
+  events.Schedule(2.0, 1, SimEventKind::kRejoin);
+  events.Schedule(2.0, 5);
+
+  std::vector<SimEventKind> kinds;
+  events.Run([&](const SimEvent& event) {
+    kinds.push_back(event.kind);
+    return true;
+  });
+  EXPECT_EQ(kinds, (std::vector<SimEventKind>{SimEventKind::kKill,
+                                               SimEventKind::kRejoin,
+                                               SimEventKind::kClient}));
+}
+
+TEST(EventQueueTest, HandlerStopDiscardsRemainingEvents) {
+  EventQueue events;
   for (int32_t c = 0; c < 10; ++c) {
-    executor.Schedule(static_cast<double>(c), c);
+    events.Schedule(static_cast<double>(c), c);
   }
   int handled = 0;
-  executor.Run([&](const SimEvent& event) {
+  events.Run([&](const SimEvent& event) {
     ++handled;
     return event.time <= 4.0;  // Stop on the first event past the horizon.
   });
   EXPECT_EQ(handled, 6);  // Events at t=0..4 plus the stopping one at t=5.
-  EXPECT_EQ(executor.events_executed(), 6u);
+  EXPECT_EQ(events.events_executed(), 6u);
 
-  // The executor is reusable after a stop; nothing stale leaks out.
-  executor.Schedule(100.0, 0);
+  // The queue is reusable after a stop; nothing stale leaks out.
+  events.Schedule(100.0, 0);
   int resumed = 0;
-  executor.Run([&](const SimEvent&) {
+  events.Run([&](const SimEvent&) {
     ++resumed;
     return true;
   });
   EXPECT_EQ(resumed, 1);
 }
 
-TEST(EventExecutorTest, IntraEpochSchedulesInterleaveCorrectly) {
-  EventExecutorOptions options;
-  options.shards = 4;
-  options.epoch_s = 100.0;  // Everything lands in one epoch.
-  options.harvest_threads = 1;
-  EventExecutor executor(options);
-  executor.Schedule(1.0, 0);
-  executor.Schedule(5.0, 1);
-
-  std::vector<Executed> order;
-  executor.Run([&](const SimEvent& event) {
-    order.push_back({event.time, event.seq, event.client, event.kind});
-    if (event.seq == 0) {
-      // Scheduled mid-epoch: must execute between the two harvested events.
-      executor.Schedule(3.0, 2);
-    }
-    return true;
-  });
-
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0].client, 0);
-  EXPECT_EQ(order[1].client, 2);
-  EXPECT_EQ(order[2].client, 1);
-  EXPECT_EQ(executor.epochs_run(), 1u);
-}
-
-TEST(EventExecutorTest, ScenarioKindsShareShardZeroDeterministically) {
-  EventExecutorOptions options;
-  options.shards = 8;
-  EventExecutor executor(options);
-  executor.Schedule(2.0, 1, SimEventKind::kKill);
-  executor.Schedule(2.0, 1, SimEventKind::kRejoin);
-  executor.Schedule(2.0, 5);
-
-  std::vector<SimEventKind> kinds;
-  executor.Run([&](const SimEvent& event) {
-    kinds.push_back(event.kind);
-    return true;
-  });
-  ASSERT_EQ(kinds.size(), 3u);
-  EXPECT_EQ(kinds[0], SimEventKind::kKill);
-  EXPECT_EQ(kinds[1], SimEventKind::kRejoin);
-  EXPECT_EQ(kinds[2], SimEventKind::kClient);
+TEST(EventQueueDeathTest, SchedulingIntoThePastIsChecked) {
+  EXPECT_DEATH(
+      {
+        EventQueue events;
+        events.Schedule(2.0, 0);
+        events.Run([&](const SimEvent& event) {
+          events.Schedule(event.time - 1.0, 0);
+          return true;
+        });
+      },
+      "time >= now_");
 }
 
 }  // namespace

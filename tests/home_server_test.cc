@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "dssp/home_server.h"
+#include "backend/in_memory_backend.h"
 #include "workloads/toystore.h"
 
 namespace dssp::service {
@@ -36,7 +36,7 @@ class HomeServerTest : public ::testing::Test {
         home_.AddUpdateTemplate("DELETE FROM toys WHERE toy_id = ?").ok());
   }
 
-  HomeServer home_;
+  backend::InMemoryBackend home_;
 };
 
 TEST_F(HomeServerTest, QueryOverEncryptedWire) {

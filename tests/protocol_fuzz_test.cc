@@ -11,9 +11,9 @@
 #include <cstdint>
 #include <string>
 
+#include "backend/in_memory_backend.h"
 #include "common/random.h"
 #include "crypto/keyring.h"
-#include "dssp/home_server.h"
 #include "dssp/protocol.h"
 
 namespace dssp::service {
@@ -284,7 +284,7 @@ class DispatchFuzzTest : public ::testing::Test {
   DispatchFuzzTest()
       : home_("fuzz", crypto::KeyRing::FromPassphrase("fuzz-secret")) {}
 
-  HomeServer home_;
+  backend::InMemoryBackend home_;
 };
 
 TEST_F(DispatchFuzzTest, GarbageAndMutatedFramesGetWellFormedReplies) {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "backend/in_memory_backend.h"
 #include "common/random.h"
-#include "dssp/home_server.h"
 #include "dssp/protocol.h"
 #include "workloads/toystore.h"
 
@@ -102,7 +102,7 @@ class DispatchTest : public ::testing::Test {
     }
   }
 
-  HomeServer home_;
+  backend::InMemoryBackend home_;
 };
 
 TEST_F(DispatchTest, QueryFlow) {

@@ -1,40 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "crypto/keyring.h"
-#include "sim/resource.h"
 #include "sim/search.h"
 #include "sim/simulator.h"
 #include "workloads/application.h"
 
 namespace dssp::sim {
 namespace {
-
-// ----- QueueingResource -----
-
-TEST(QueueingResourceTest, SingleWorkerFifo) {
-  QueueingResource r(1);
-  EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0), 1.0);
-  // Arrives while busy: queues.
-  EXPECT_DOUBLE_EQ(r.Schedule(0.5, 1.0), 2.0);
-  // Arrives after idle: starts immediately.
-  EXPECT_DOUBLE_EQ(r.Schedule(5.0, 0.5), 5.5);
-}
-
-TEST(QueueingResourceTest, MultiWorkerParallelism) {
-  QueueingResource r(2);
-  EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0), 1.0);  // Second worker.
-  EXPECT_DOUBLE_EQ(r.Schedule(0.0, 1.0), 2.0);  // Queues behind one.
-}
-
-TEST(QueueingResourceTest, BacklogAndReset) {
-  QueueingResource r(1);
-  r.Schedule(0.0, 3.0);
-  EXPECT_DOUBLE_EQ(r.CurrentBacklog(1.0), 2.0);
-  EXPECT_DOUBLE_EQ(r.CurrentBacklog(4.0), 0.0);
-  r.Reset();
-  EXPECT_DOUBLE_EQ(r.CurrentBacklog(1.0), 0.0);
-}
 
 // ----- Simulator on the real toystore app -----
 
@@ -112,6 +87,78 @@ TEST(SimulatorTest, SaturationRaisesResponseTimes) {
   ASSERT_TRUE(light.ok());
   ASSERT_TRUE(heavy.ok());
   EXPECT_GT(heavy->p90_response_s, light->p90_response_s * 2);
+}
+
+// ----- Golden numbers -----
+//
+// Recorded from the dedicated single-node loop that RunSimulation and
+// RunMultiTenantSimulation ran before they became wrappers over the
+// cluster loop. ToString() rounds to milliseconds, so the mean and the
+// percentiles are pinned again at full precision.
+
+std::string Fingerprint(const SimResult& r) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                " mean=%.17g p50=%.17g p90=%.17g p99=%.17g", r.mean_response_s,
+                r.p50_response_s, r.p90_response_s, r.p99_response_s);
+  return r.ToString() + buf;
+}
+
+TEST(SimulatorGolden, UniformStaggerArrivals) {
+  SimHarness h;
+  auto result = RunSimulation(h.app, *h.generator, 20, FastConfig());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Fingerprint(*result),
+            "clients=20 pages=174 ops=252 mean=0.276s p50=0.221s "
+            "p90=0.442s p99=0.442s hit_rate=0.171 invalidated=12 "
+            "home_q=174 home_u=42 mean=0.27642021556847285 "
+            "p50=0.22130947096056364 p90=0.44157044735331202 "
+            "p99=0.44157044735331202");
+}
+
+TEST(SimulatorGolden, ExponentialArrivals) {
+  SimHarness h;
+  SimConfig config = FastConfig();
+  config.exponential_arrivals = true;
+  auto result = RunSimulation(h.app, *h.generator, 20, config);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Fingerprint(*result),
+            "clients=20 pages=178 ops=266 mean=0.279s p50=0.221s "
+            "p90=0.442s p99=0.452s hit_rate=0.189 invalidated=12 "
+            "home_q=185 home_u=38 mean=0.27934044409098824 "
+            "p50=0.22130947096056364 p90=0.44157044735331202 "
+            "p99=0.4518559443749226");
+}
+
+TEST(SimulatorGolden, TwoTenantsShareOneNode) {
+  SimHarness h;
+  service::ScalableApp bookstore("bookstore", &h.node,
+                                 crypto::KeyRing::FromPassphrase("b"));
+  auto workload = workloads::MakeApplication("bookstore");
+  ASSERT_TRUE(workload->Setup(bookstore, /*scale=*/0.2, /*seed=*/5).ok());
+  ASSERT_TRUE(bookstore.Finalize().ok());
+  auto generator = workload->NewSession(/*seed=*/9);
+
+  SimConfig config = FastConfig();
+  config.dssp_workers = 1;  // One shared CPU: the tenants contend for it.
+  auto results = RunMultiTenantSimulation(
+      {Tenant{&h.app, h.generator.get(), 15},
+       Tenant{&bookstore, generator.get(), 25}},
+      config);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results->size(), 2u);
+  EXPECT_EQ(Fingerprint((*results)[0]),
+            "clients=15 pages=133 ops=200 mean=0.298s p50=0.221s "
+            "p90=0.442s p99=0.452s hit_rate=0.127 invalidated=3 "
+            "home_q=151 home_u=27 mean=0.29762153152914755 "
+            "p50=0.22130947096056364 p90=0.44157044735331202 "
+            "p99=0.4518559443749226");
+  EXPECT_EQ(Fingerprint((*results)[1]),
+            "clients=25 pages=196 ops=379 mean=0.361s p50=0.232s "
+            "p90=0.653s p99=1.558s hit_rate=0.189 invalidated=27 "
+            "home_q=270 home_u=46 mean=0.36148822148570264 "
+            "p50=0.23173946499684794 p90=0.65313055264747288 "
+            "p99=1.5579048678591718");
 }
 
 TEST(SimulatorTest, SloPredicate) {

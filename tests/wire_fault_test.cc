@@ -14,12 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "backend/in_memory_backend.h"
 #include "catalog/schema.h"
 #include "common/random.h"
 #include "crypto/keyring.h"
 #include "dssp/app.h"
 #include "dssp/channel.h"
-#include "dssp/home_server.h"
 #include "dssp/node.h"
 #include "dssp/protocol.h"
 #include "dssp/retry.h"
@@ -237,7 +237,7 @@ class ScriptedChannel : public Channel {
  public:
   enum class Action { kDeliver, kDropRequest, kDropResponse, kGarble };
 
-  ScriptedChannel(HomeServer& home, std::vector<Action> script)
+  ScriptedChannel(backend::InMemoryBackend& home, std::vector<Action> script)
       : home_(home), script_(std::move(script)) {}
 
   ChannelOutcome RoundTrip(std::string_view request_frame) override {
@@ -258,7 +258,7 @@ class ScriptedChannel : public Channel {
   size_t calls() const { return calls_; }
 
  private:
-  HomeServer& home_;
+  backend::InMemoryBackend& home_;
   std::vector<Action> script_;
   size_t calls_ = 0;
 };
