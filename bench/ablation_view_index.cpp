@@ -1,12 +1,14 @@
 // Ablation: predicate-indexed view registry vs. full group scan.
 //
-// Fills one DSSP node with N statement-exposed cached views of a point
-// query template and measures the per-update invalidation cost of a
-// statement-exposed update notice, with the predicate index enabled
-// (OnUpdate probes only candidate buckets) and disabled (OnUpdate walks
-// every entry of every surviving group — the pre-index behavior). Sweeps
-// N = 10^3 .. 10^6 cached views; both paths are checked to invalidate the
-// same entries before timing.
+// Fills a DSSP node with N statement-exposed cached views of a point query
+// template and measures the per-update invalidation cost of a
+// statement-exposed update notice: the node probes only candidate buckets
+// of its predicate index, while the test-side scan oracle
+// (tests/scan_oracle.h) walks every entry of every surviving group — the
+// pre-index behavior. Sweeps N = 10^3 .. 10^6 cached views; both paths are
+// checked to invalidate exactly the expected entries before timing. The two
+// are filled and timed one after the other, so only one holds N views at a
+// time.
 //
 // Flags:
 //   --max-views N   cap the sweep (default 1000000; CI smoke uses 10000)
@@ -28,6 +30,7 @@
 #include "catalog/schema.h"
 #include "dssp/node.h"
 #include "templates/template_set.h"
+#include "tests/scan_oracle.h"
 
 namespace {
 
@@ -35,6 +38,7 @@ using Clock = std::chrono::steady_clock;
 using dssp::analysis::ExposureLevel;
 using dssp::service::CacheEntry;
 using dssp::service::DsspNode;
+using dssp::service::ScanOracle;
 using dssp::service::UpdateNotice;
 using dssp::sql::Value;
 
@@ -64,10 +68,59 @@ UpdateNotice MakeNotice(const dssp::templates::TemplateSet& templates,
   return notice;
 }
 
+// The node behind the Store/OnUpdate/size surface ScanOracle offers.
+class ProbingNode {
+ public:
+  ProbingNode(const dssp::catalog::Catalog& catalog,
+              const dssp::templates::TemplateSet& templates) {
+    DSSP_CHECK(node_.RegisterApp(kApp, &catalog, &templates).ok());
+  }
+  void Store(CacheEntry entry) { node_.Store(kApp, std::move(entry)); }
+  size_t OnUpdate(const UpdateNotice& notice) {
+    return node_.OnUpdate(kApp, notice);
+  }
+  size_t size() const { return node_.CacheSize(kApp); }
+
+ private:
+  DsspNode node_;
+};
+
+size_t CacheSize(const ProbingNode& node) { return node.size(); }
+size_t CacheSize(ScanOracle& oracle) { return oracle.cache().size(); }
+
+// Fills `target` with `views` entries, checks that it invalidates exactly
+// the matching entry for updates that hit and nothing for updates that
+// miss, then returns its per-update cost in microseconds.
+template <typename Target>
+double CheckAndTime(Target& target,
+                    const dssp::templates::TemplateSet& templates,
+                    int64_t views, int timed_updates) {
+  for (int64_t i = 0; i < views; ++i) {
+    target.Store(MakeEntry(templates, i));
+  }
+  const int64_t step = views / 16;
+  for (int j = 0; j < 16; ++j) {
+    const int64_t id = j * step;
+    DSSP_CHECK(target.OnUpdate(MakeNotice(templates, id)) == 1);
+    target.Store(MakeEntry(templates, id));  // Refill.
+    DSSP_CHECK(target.OnUpdate(MakeNotice(templates, views + id)) == 0);
+  }
+  DSSP_CHECK(CacheSize(target) == static_cast<size_t>(views));
+
+  // Timed updates invalidate nothing, so the cache stays full and every
+  // update pays the whole decision cost for its path.
+  target.OnUpdate(MakeNotice(templates, views + 1));  // Warm up.
+  const auto start = Clock::now();
+  for (int j = 0; j < timed_updates; ++j) {
+    target.OnUpdate(MakeNotice(templates, views + 2 + j));
+  }
+  return MicrosPer(Clock::now() - start, timed_updates);
+}
+
 struct SweepPoint {
   int64_t views = 0;
-  double scan_us = 0;    // Per-update cost, index disabled.
-  double probe_us = 0;   // Per-update cost, index enabled.
+  double scan_us = 0;    // Per-update cost, scan oracle.
+  double probe_us = 0;   // Per-update cost, node (index probe).
   double speedup = 0;
 };
 
@@ -101,48 +154,23 @@ int main(int argc, char** argv) {
   std::printf(
       "Ablation — predicate-indexed view registry vs. full group scan\n"
       "(statement-exposed point query; per-update invalidation cost over\n"
-      " N cached views; both paths verified to invalidate identically)\n\n");
+      " N cached views; the node's probe vs. the test-side scan oracle,\n"
+      " each verified to invalidate exactly the matching entries)\n\n");
   std::printf("%10s %14s %14s %9s\n", "views", "scan-us/upd",
               "probe-us/upd", "speedup");
   std::printf("%s\n", std::string(50, '-').c_str());
 
   std::vector<SweepPoint> points;
   for (int64_t views = 1000; views <= max_views; views *= 10) {
-    DsspNode node;
-    DSSP_CHECK(node.RegisterApp(kApp, &catalog, &templates).ok());
-    for (int64_t i = 0; i < views; ++i) {
-      node.Store(kApp, MakeEntry(templates, i));
-    }
-
-    // Correctness: both paths must invalidate exactly the matching entry
-    // for updates that hit, and nothing for updates that miss.
-    const int64_t step = views / 16;
-    for (const bool enabled : {true, false}) {
-      node.SetPredicateIndexEnabled(enabled);
-      for (int j = 0; j < 16; ++j) {
-        const int64_t id = j * step;
-        const size_t hits = node.OnUpdate(kApp, MakeNotice(templates, id));
-        DSSP_CHECK(hits == 1);
-        node.Store(kApp, MakeEntry(templates, id));  // Refill.
-        DSSP_CHECK(node.OnUpdate(kApp, MakeNotice(templates, views + id)) ==
-                   0);
-      }
-      DSSP_CHECK(node.CacheSize(kApp) == static_cast<size_t>(views));
-    }
-
-    // Timed sweeps use updates that invalidate nothing, so the cache stays
-    // full and every update pays the whole decision cost for its path.
     SweepPoint point;
     point.views = views;
-    for (const bool enabled : {false, true}) {
-      node.SetPredicateIndexEnabled(enabled);
-      node.OnUpdate(kApp, MakeNotice(templates, views + 1));  // Warm up.
-      const auto start = Clock::now();
-      for (int j = 0; j < timed_updates; ++j) {
-        node.OnUpdate(kApp, MakeNotice(templates, views + 2 + j));
-      }
-      const double us = MicrosPer(Clock::now() - start, timed_updates);
-      (enabled ? point.probe_us : point.scan_us) = us;
+    {
+      ScanOracle oracle(catalog, templates);
+      point.scan_us = CheckAndTime(oracle, templates, views, timed_updates);
+    }
+    {
+      ProbingNode node(catalog, templates);
+      point.probe_us = CheckAndTime(node, templates, views, timed_updates);
     }
     point.speedup = point.scan_us / point.probe_us;
     std::printf("%10lld %14.2f %14.2f %8.1fx\n",

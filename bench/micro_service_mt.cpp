@@ -4,9 +4,13 @@
 // ciphers are per-tenant, client-side state), so the benchmark drives it
 // directly with pre-built exposure-gated entries and update notices.
 //
-// The headline number: BM_NodeMixedWorkload items/s should scale >= 2x from
-// 1 to 8 threads — lock-striped shards plus relaxed atomic stats keep
-// lookups on different shards contention-free.
+// Measured result (4 vCPUs, RelWithDebInfo, median of 3 repetitions): the
+// node does not scale. At 4 threads BM_NodeLookupOnly runs at 0.52x its
+// 1-thread items/s (5.3 M -> 2.7 M) and BM_NodeMixedWorkload at 0.43x
+// (7.5 M -> 3.2 M). Every lookup writes shared cache lines (the registry's
+// reader count, per-app stats atomics, the cache-global LRU tick, the shard
+// mutex); this is an open defect (ROADMAP.md, node read-path scaling), not
+// a scaling claim.
 
 #include <benchmark/benchmark.h>
 

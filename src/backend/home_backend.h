@@ -36,7 +36,6 @@ struct StatementCacheStats {
   uint64_t misses = 0;       // Executions that had to prepare first.
   uint64_t evictions = 0;    // Prepared statements dropped by the LRU cap.
   uint64_t invalidations = 0;  // Dropped by DDL/registration invalidation.
-  uint64_t unprepared_executions = 0;  // Kill switch off: prepare-per-call.
   size_t entries = 0;        // Live prepared statements, all connections.
 
   double hit_rate() const {
@@ -92,8 +91,7 @@ struct HomeBackendStats {
   uint64_t duplicates_suppressed = 0;
 
   // Compiled-program execution split: queries served by a QueryProgram vs.
-  // by the reference interpreter (template unmatched, template uncompilable,
-  // or program execution disabled).
+  // by the reference interpreter (template unmatched or uncompilable).
   uint64_t program_queries = 0;
   uint64_t interpreter_fallback_queries = 0;
 

@@ -192,8 +192,7 @@ StatusOr<std::string> InMemoryBackend::HandleQuery(std::string_view ciphertext,
 
 StatusOr<engine::QueryResult> InMemoryBackend::ExecuteParsedQuery(
     const sql::Statement& stmt, PooledConnection& conn) {
-  if (program_execution_enabled_.load(std::memory_order_relaxed) &&
-      stmt.kind() == sql::StatementKind::kSelect && stmt.num_params == 0) {
+  if (stmt.kind() == sql::StatementKind::kSelect && stmt.num_params == 0) {
     const auto it =
         shape_to_queries_.find(templates::SelectShapeKey(stmt.select()));
     if (it != shape_to_queries_.end()) {
@@ -202,16 +201,6 @@ StatusOr<engine::QueryResult> InMemoryBackend::ExecuteParsedQuery(
         if (!compilable_[index]) continue;
         const templates::QueryTemplate& tmpl = templates_.queries()[index];
         if (!tmpl.MatchInstance(stmt.select(), &params)) continue;
-        if (!statement_cache_enabled_.load(std::memory_order_relaxed)) {
-          // Kill switch: prepare-per-call. Every execution pays the full
-          // compile, the cost the statement cache exists to amortize.
-          StatusOr<engine::QueryProgram> fresh = engine::QueryProgram::Compile(
-              database_.catalog(), tmpl.statement().select());
-          if (!fresh.ok()) continue;  // Defensive; compilable_ said ok.
-          program_queries_.fetch_add(1, std::memory_order_relaxed);
-          unprepared_executions_.fetch_add(1, std::memory_order_relaxed);
-          return fresh->Execute(database_, params);
-        }
         const engine::QueryProgram* program =
             conn.statements().Lookup(this, index);
         if (program == nullptr) {
@@ -277,8 +266,6 @@ HomeBackendStats InMemoryBackend::Stats() const {
   out.tables_total = database_.catalog().num_tables();
   out.catalog_loads = catalog_loads_.load(std::memory_order_relaxed);
   out.statements = pool().statement_stats();
-  out.statements.unprepared_executions =
-      unprepared_executions_.load(std::memory_order_relaxed);
   out.pool = pool().Stats();
   out.metadata = metadata_.Stats();
   return out;

@@ -41,8 +41,7 @@ struct BackendOptions {
 //  - a bounded, health-checked connection pool (private by default; shared
 //    with co-hosted tenants when attached to a BackendHost);
 //  - a prepared-statement cache per connection: a template is compiled to
-//    its PR-8 QueryProgram once per (connection, template) and reused, with
-//    a kill switch degrading to prepare-per-call;
+//    its QueryProgram once per (connection, template) and reused;
 //  - a TTL'd metadata/statistics cache, explicitly invalidated on DDL and
 //    template registration;
 //  - lazy catalog loading: only tables a registered template touches are
@@ -105,30 +104,14 @@ class InMemoryBackend : public HomeBackend {
   }
 
   // Queries served by a compiled QueryProgram vs. by the reference
-  // interpreter (template not matched, template not compilable, or program
-  // execution disabled). An application whose templates all compile sees
-  // interpreter_fallback_queries() == 0.
+  // interpreter (ad-hoc statement matching no template, or template not
+  // compilable). An application whose templates all compile, queried only
+  // through them, sees interpreter_fallback_queries() == 0.
   uint64_t program_queries() const {
     return program_queries_.load(std::memory_order_relaxed);
   }
   uint64_t interpreter_fallback_queries() const {
     return interpreter_fallback_queries_.load(std::memory_order_relaxed);
-  }
-
-  // Disables the compiled-program path (every query runs the interpreter).
-  // For benchmarks and differential tests; call before serving traffic.
-  void SetProgramExecutionEnabled(bool enabled) {
-    program_execution_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-
-  // Kill switch for the prepared-statement cache: when disabled, every
-  // program-path execution re-compiles its template (prepare-per-call) —
-  // the baseline bench/ablation_home_backend compares against.
-  void SetStatementCacheEnabled(bool enabled) {
-    statement_cache_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool statement_cache_enabled() const {
-    return statement_cache_enabled_.load(std::memory_order_relaxed);
   }
 
   // The pool serving this backend: the host's shared pool when attached
@@ -187,15 +170,11 @@ class InMemoryBackend : public HomeBackend {
   std::vector<bool> compilable_;
   std::unordered_map<std::string, std::vector<size_t>> shape_to_queries_;
 
-  std::atomic<bool> program_execution_enabled_{true};
-  std::atomic<bool> statement_cache_enabled_{true};
-
   std::atomic<uint64_t> updates_applied_{0};
   std::atomic<uint64_t> queries_executed_{0};
   std::atomic<uint64_t> duplicates_suppressed_{0};
   std::atomic<uint64_t> program_queries_{0};
   std::atomic<uint64_t> interpreter_fallback_queries_{0};
-  std::atomic<uint64_t> unprepared_executions_{0};
   std::atomic<uint64_t> catalog_loads_{0};
   std::atomic<double> now_s_{0};
 

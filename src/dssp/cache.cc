@@ -191,15 +191,6 @@ void QueryCache::Insert(CacheEntry entry) {
   EvictToCapacity(insert_evictions_);
 }
 
-void QueryCache::Erase(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return;
-  RemoveLocked(shard, it, /*retain_stale=*/true);
-  invalidation_removals_.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::vector<size_t> QueryCache::GroupKeys() const {
   std::set<size_t> keys;
   for (const Shard& shard : shards_) {
@@ -222,35 +213,6 @@ std::vector<std::string> QueryCache::GroupEntryKeys(size_t group) const {
   }
   std::sort(keys.begin(), keys.end());
   return keys;
-}
-
-size_t QueryCache::EraseGroup(size_t group) {
-  size_t count = 0;
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    const auto it = shard.groups.find(group);
-    if (it == shard.groups.end()) continue;
-    const std::vector<std::string> keys =
-        AllGroupKeys(it->second.by_value, it->second.rest);
-    count += keys.size();
-    for (const std::string& key : keys) {
-      const auto entry_it = shard.entries.find(key);
-      DSSP_CHECK(entry_it != shard.entries.end());
-      shard.lru.erase(entry_it->second.lru_position);
-      RetainStale(std::move(entry_it->second.entry));
-      shard.entries.erase(entry_it);
-      size_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    shard.groups.erase(it);
-  }
-  invalidation_removals_.fetch_add(count, std::memory_order_relaxed);
-  return count;
-}
-
-size_t QueryCache::InvalidateEntries(
-    const std::function<bool(size_t group)>& group_may_invalidate,
-    const std::function<bool(const CacheEntry&)>& should_invalidate) {
-  return InvalidateEntries(group_may_invalidate, should_invalidate, nullptr);
 }
 
 size_t QueryCache::InvalidateEntries(

@@ -89,9 +89,9 @@ class QueryCache {
     return insert_evictions() + shrink_evictions();
   }
 
-  // Entries removed explicitly (Erase, EraseGroup, InvalidateEntries) —
-  // consistency-driven removals, as opposed to capacity evictions. Clear()
-  // is counted by neither (it is an administrative reset, not invalidation).
+  // Entries removed by InvalidateEntries — consistency-driven removals, as
+  // opposed to capacity evictions. Clear() is counted by neither (it is an
+  // administrative reset, not invalidation).
   uint64_t invalidation_removals() const {
     return invalidation_removals_.load(std::memory_order_relaxed);
   }
@@ -107,8 +107,6 @@ class QueryCache {
   // cache is at capacity.
   void Insert(CacheEntry entry);
 
-  void Erase(const std::string& key);
-
   // Group keys: template_index for exposed templates, CacheEntry::kNoTemplate
   // for blind-level entries. Sorted; merged across shards.
   std::vector<size_t> GroupKeys() const;
@@ -117,32 +115,27 @@ class QueryCache {
   // iterating).
   std::vector<std::string> GroupEntryKeys(size_t group) const;
 
-  // Erases every entry in `group`; returns how many.
-  size_t EraseGroup(size_t group);
-
-  // Invalidation driver: visits shards one at a time (so invalidating one
-  // group never blocks lookups in other shards), skipping whole groups when
-  // `group_may_invalidate` returns false and erasing each remaining entry
-  // for which `should_invalidate` returns true. Returns entries erased.
+  // The one removal path for consistency: visits shards one at a time (so
+  // invalidating one group never blocks lookups in other shards), skipping
+  // whole groups when `group_may_invalidate` returns false and erasing each
+  // remaining entry for which `should_invalidate` returns true. Returns
+  // entries erased.
+  //
+  // A non-null `group_probe` narrows which entries of a surviving group are
+  // visited (GroupProbe::kScanAll is the plain scan; kScanRest / kProbe
+  // skip indexed entries the ViewIndexPlan proved `should_invalidate` would
+  // decline). Unindexed entries are always visited. A null `group_probe`
+  // scans every entry of each surviving group. Entry visit order within a
+  // group is sorted by key either way, so stale-retention FIFO order is
+  // identical whenever the erased sets are.
   //
   // All callbacks run under a shard lock and must not call back into this
   // cache. `group_may_invalidate` (and `group_probe`) may be called once
   // per (shard, group); memoize in the caller if the decision is expensive.
   size_t InvalidateEntries(
       const std::function<bool(size_t group)>& group_may_invalidate,
-      const std::function<bool(const CacheEntry&)>& should_invalidate);
-
-  // Predicate-indexed variant: `group_probe` narrows which entries of a
-  // surviving group are visited (GroupProbe::kScanAll reproduces the plain
-  // scan; kScanRest / kProbe skip indexed entries the ViewIndexPlan proved
-  // `should_invalidate` would decline). Unindexed entries are always
-  // visited. Entry visit order within a group is the same sorted key order
-  // as the plain scan, so stale-retention FIFO order is identical whenever
-  // the erased sets are.
-  size_t InvalidateEntries(
-      const std::function<bool(size_t group)>& group_may_invalidate,
       const std::function<bool(const CacheEntry&)>& should_invalidate,
-      const std::function<GroupProbe(size_t group)>& group_probe);
+      const std::function<GroupProbe(size_t group)>& group_probe = nullptr);
 
   // Installs the compiled predicate index used to key entries at Insert
   // (`plan` must outlive the cache or be reset to nullptr first). Entries
@@ -163,12 +156,12 @@ class QueryCache {
   // ----- Degraded-mode stale retention (bounded-staleness serving). -----
   //
   // When enabled (capacity > 0), entries removed by *consistency*
-  // invalidation (Erase / EraseGroup / InvalidateEntries — not capacity
-  // eviction, not Clear) are kept in a bounded FIFO side store, stamped
-  // with the current update epoch. While the home server is unreachable, a
-  // client may serve such an entry if it is at most `max_updates_behind`
-  // observed updates old (k-staleness: the served value predates at most k
-  // updates). Inserting a fresh entry for a key supersedes its stale copy.
+  // invalidation (InvalidateEntries — not capacity eviction, not Clear) are
+  // kept in a bounded FIFO side store, stamped with the current update
+  // epoch. While the home server is unreachable, a client may serve such an
+  // entry if it is at most `max_updates_behind` observed updates old
+  // (k-staleness: the served value predates at most k updates). Inserting a
+  // fresh entry for a key supersedes its stale copy.
 
   // Caps the side store's entry count; 0 (default) disables retention and
   // drops anything currently retained.

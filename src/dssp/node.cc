@@ -1,6 +1,7 @@
 #include "dssp/node.h"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "analysis/audit.h"
@@ -244,33 +245,32 @@ size_t DsspNode::OnUpdate(const std::string& app_id,
   // plain scan would keep.
   const ViewIndexPlan* view_index = app->view_index.get();
   const bool can_probe =
-      predicate_index_enabled_.load(std::memory_order_relaxed) &&
       view_index != nullptr &&
       notice.level == analysis::ExposureLevel::kStmt &&
       update_view.tmpl != nullptr && update_view.statement != nullptr;
   static thread_local std::vector<GroupProbe> group_probes;
   static thread_local std::vector<int8_t> probe_ready;
+  // Template and blind notices leave it null: the cache scans every entry
+  // of each surviving group.
+  std::function<GroupProbe(size_t group)> group_probe;
   if (can_probe) {
     group_probes.resize(num_groups);
     probe_ready.assign(num_groups, 0);
+    group_probe = [&](size_t group) -> GroupProbe {
+      if (group >= app->templates->num_queries()) {
+        return GroupProbe{};  // Blind group (kNoTemplate): always scan all.
+      }
+      if (!probe_ready[group]) {
+        group_probes[group] = view_index->BuildGroupProbe(
+            update_view.template_index, group, *update_view.statement);
+        probe_ready[group] = 1;
+      }
+      return group_probes[group];
+    };
   }
-  const auto group_probe = [&](size_t group) -> GroupProbe {
-    if (group >= app->templates->num_queries()) {
-      return GroupProbe{};  // Blind group (kNoTemplate): always scan all.
-    }
-    if (!probe_ready[group]) {
-      group_probes[group] = view_index->BuildGroupProbe(
-          update_view.template_index, group, *update_view.statement);
-      probe_ready[group] = 1;
-    }
-    return group_probes[group];
-  };
 
-  const size_t invalidated =
-      can_probe ? app->cache.InvalidateEntries(group_may_invalidate,
-                                               should_invalidate, group_probe)
-                : app->cache.InvalidateEntries(group_may_invalidate,
-                                               should_invalidate);
+  const size_t invalidated = app->cache.InvalidateEntries(
+      group_may_invalidate, should_invalidate, group_probe);
   app->stats.entries_invalidated.fetch_add(invalidated,
                                            std::memory_order_relaxed);
   // Entries this update just killed are now exactly 1 update stale.

@@ -169,17 +169,6 @@ class DsspNode : public CacheBackend {
   Status ValidateNotice(const std::string& app_id,
                         const UpdateNotice& notice) const;
 
-  // Toggles the predicate-indexed invalidation path (default on). When off,
-  // OnUpdate scans every entry of every surviving group — the pre-index
-  // behavior — which the differential test and the ablation use as the
-  // reference. Safe to flip at any time.
-  void SetPredicateIndexEnabled(bool enabled) {
-    predicate_index_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool predicate_index_enabled() const {
-    return predicate_index_enabled_.load(std::memory_order_relaxed);
-  }
-
   // The compiled predicate-index plan of an app (nullptr when unknown);
   // introspection for tests and the ablation harness.
   const ViewIndexPlan* GetViewIndex(const std::string& app_id) const;
@@ -253,7 +242,6 @@ class DsspNode : public CacheBackend {
   // FindApp may hand out AppState pointers past the registry lock.
   mutable SharedMutex mu_;
   std::map<std::string, AppState, std::less<>> apps_ DSSP_GUARDED_BY(mu_);
-  std::atomic<bool> predicate_index_enabled_{true};
   std::atomic<bool> strict_registration_{false};
 };
 

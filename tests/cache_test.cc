@@ -19,6 +19,20 @@ CacheEntry Entry(const std::string& key, size_t template_index,
   return entry;
 }
 
+// Consistency removals go through InvalidateEntries, the one removal path
+// the node drives: one key (every group survives, only `key` matches) or one
+// whole group (only `group` survives, every entry in it matches).
+size_t InvalidateKey(QueryCache& cache, const std::string& key) {
+  return cache.InvalidateEntries(
+      [](size_t) { return true; },
+      [&key](const CacheEntry& entry) { return entry.key == key; });
+}
+
+size_t InvalidateGroup(QueryCache& cache, size_t group) {
+  return cache.InvalidateEntries([group](size_t g) { return g == group; },
+                                 [](const CacheEntry&) { return true; });
+}
+
 // Cross-checks the cache's own bookkeeping: every group entry key must be
 // peekable, and the group index must account for exactly size() entries.
 void ExpectConsistent(const QueryCache& cache) {
@@ -36,7 +50,7 @@ void ExpectConsistent(const QueryCache& cache) {
   EXPECT_EQ(indexed, cache.size());
 }
 
-TEST(QueryCacheTest, InsertLookupErase) {
+TEST(QueryCacheTest, InsertLookupInvalidate) {
   QueryCache cache;
   cache.Insert(Entry("k1", 0));
   EXPECT_EQ(cache.size(), 1u);
@@ -44,16 +58,19 @@ TEST(QueryCacheTest, InsertLookupErase) {
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->blob, "blob:k1");
   EXPECT_FALSE(cache.Lookup("k2").has_value());
-  cache.Erase("k1");
+  EXPECT_EQ(InvalidateKey(cache, "k1"), 1u);
   EXPECT_FALSE(cache.Lookup("k1").has_value());
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(QueryCacheTest, EraseMissingIsNoop) {
+TEST(QueryCacheTest, InvalidateMissingKeyIsNoop) {
   QueryCache cache;
-  cache.Erase("ghost");
-  EXPECT_EQ(cache.size(), 0u);
+  cache.Insert(Entry("k", 0));
+  EXPECT_EQ(InvalidateKey(cache, "ghost"), 0u);
+  EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.invalidation_removals(), 0u);
+  EXPECT_EQ(InvalidateKey(cache, "k"), 1u);
+  EXPECT_EQ(cache.invalidation_removals(), 1u);
 }
 
 TEST(QueryCacheTest, InsertOverwrites) {
@@ -87,16 +104,17 @@ TEST(QueryCacheTest, GroupsTrackTemplates) {
   EXPECT_TRUE(cache.GroupEntryKeys(42).empty());
 }
 
-TEST(QueryCacheTest, EraseGroup) {
+TEST(QueryCacheTest, InvalidateWholeGroup) {
   QueryCache cache;
   cache.Insert(Entry("a1", 0));
   cache.Insert(Entry("a2", 0));
   cache.Insert(Entry("b1", 1));
-  EXPECT_EQ(cache.EraseGroup(0), 2u);
+  EXPECT_EQ(InvalidateGroup(cache, 0), 2u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_FALSE(cache.Lookup("a1").has_value());
   EXPECT_TRUE(cache.Lookup("b1").has_value());
-  EXPECT_EQ(cache.EraseGroup(0), 0u);
+  EXPECT_EQ(InvalidateGroup(cache, 0), 0u);
+  ExpectConsistent(cache);
 }
 
 TEST(QueryCacheTest, Clear) {
@@ -164,13 +182,13 @@ TEST(QueryCacheTest, ZeroCapacityMeansUnlimited) {
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
-TEST(QueryCacheTest, EraseGroupMaintainsLru) {
+TEST(QueryCacheTest, GroupInvalidationMaintainsLru) {
   QueryCache cache;
   cache.SetCapacity(3);
   cache.Insert(Entry("a", 0));
   cache.Insert(Entry("b", 1));
   cache.Insert(Entry("c", 0));
-  EXPECT_EQ(cache.EraseGroup(0), 2u);
+  EXPECT_EQ(InvalidateGroup(cache, 0), 2u);
   // LRU list no longer references erased keys; inserting past capacity
   // evicts the true survivor order without crashing.
   cache.Insert(Entry("d", 1));
@@ -199,8 +217,8 @@ TEST(QueryCacheTest, EvictionCountersSplitByCause) {
   EXPECT_EQ(cache.shrink_evictions(), 2u);
   EXPECT_EQ(cache.evictions(), 4u);
   // Invalidation removals are tracked separately from both.
-  cache.Erase("k7");
-  EXPECT_EQ(cache.EraseGroup(0), 3u);
+  EXPECT_EQ(InvalidateKey(cache, "k7"), 1u);
+  EXPECT_EQ(InvalidateGroup(cache, 0), 3u);
   EXPECT_EQ(cache.invalidation_removals(), 4u);
   EXPECT_EQ(cache.evictions(), 4u);
 }
@@ -223,7 +241,7 @@ TEST(QueryCacheTest, InvalidateEntriesFiltersGroupsThenEntries) {
   ExpectConsistent(cache);
 }
 
-// LRU/group-index invariants across SetCapacity + EraseGroup +
+// LRU/group-index invariants across SetCapacity + group invalidation +
 // overwrite-Insert interleavings: the group index, LRU list, and size must
 // stay mutually consistent through every mixed sequence.
 TEST(QueryCacheTest, InvariantsSurviveMixedInterleavings) {
@@ -241,7 +259,7 @@ TEST(QueryCacheTest, InvariantsSurviveMixedInterleavings) {
     cache.SetCapacity(8);
     ExpectConsistent(cache);
     EXPECT_EQ(cache.size(), 8u);
-    cache.EraseGroup(3 - round % 2);
+    InvalidateGroup(cache, 3 - round % 2);
     ExpectConsistent(cache);
     // Overwrite survivors in place at capacity, then grow again.
     for (int i = 6; i < 12; ++i) {
@@ -260,7 +278,7 @@ TEST(QueryCacheTest, InvariantsSurviveMixedInterleavings) {
 TEST(StaleStoreTest, RetentionOffByDefault) {
   QueryCache cache;
   cache.Insert(Entry("k", 0));
-  cache.Erase("k");
+  InvalidateKey(cache, "k");
   EXPECT_EQ(cache.StaleSize(), 0u);
   EXPECT_FALSE(cache.LookupStale("k", 100).has_value());
 }
@@ -269,7 +287,7 @@ TEST(StaleStoreTest, InvalidationRetainsAndKStalenessAges) {
   QueryCache cache;
   cache.SetStaleRetention(8);
   cache.Insert(Entry("k", 0));
-  cache.Erase("k");  // Consistency removal: retained at epoch 0.
+  InvalidateKey(cache, "k");  // Consistency removal: retained at epoch 0.
   cache.BumpUpdateEpoch();  // The update that killed it: now 1 behind.
 
   ASSERT_TRUE(cache.LookupStale("k", 1).has_value());
@@ -284,20 +302,26 @@ TEST(StaleStoreTest, InvalidationRetainsAndKStalenessAges) {
   ASSERT_TRUE(cache.LookupStale("k", 3).has_value());
 }
 
-TEST(StaleStoreTest, EraseGroupAndInvalidateEntriesRetainToo) {
+TEST(StaleStoreTest, GroupAndFilteredInvalidationRetain) {
   QueryCache cache;
   cache.SetStaleRetention(8);
   cache.Insert(Entry("g0-a", 0));
   cache.Insert(Entry("g0-b", 0));
   cache.Insert(Entry("g1-a", 1));
-  cache.EraseGroup(0);
+  cache.Insert(Entry("g1-b", 1));
+  InvalidateGroup(cache, 0);
   cache.InvalidateEntries([](size_t group) { return group == 1; },
-                          [](const CacheEntry&) { return true; });
+                          [](const CacheEntry& entry) {
+                            return entry.key == "g1-a";
+                          });
   cache.BumpUpdateEpoch();
   EXPECT_EQ(cache.StaleSize(), 3u);
   EXPECT_TRUE(cache.LookupStale("g0-a", 1).has_value());
   EXPECT_TRUE(cache.LookupStale("g0-b", 1).has_value());
   EXPECT_TRUE(cache.LookupStale("g1-a", 1).has_value());
+  // The entry the filter declined stays live and is not retained.
+  EXPECT_TRUE(cache.Peek("g1-b").has_value());
+  EXPECT_FALSE(cache.LookupStale("g1-b", 1).has_value());
 }
 
 TEST(StaleStoreTest, CapacityEvictionsAreNotRetained) {
@@ -319,7 +343,7 @@ TEST(StaleStoreTest, CapacityEvictionsAreNotRetained) {
   // invalidation-time copy: eviction never refreshes or removes it.
   cache.SetCapacity(0);
   cache.Insert(Entry("d", 0));
-  cache.Erase("d");
+  InvalidateKey(cache, "d");
   cache.BumpUpdateEpoch();
   EXPECT_TRUE(cache.LookupStale("d", 1).has_value());
 }
@@ -329,7 +353,7 @@ TEST(StaleStoreTest, FifoBoundDropsOldestRetained) {
   cache.SetStaleRetention(2);
   for (const char* key : {"a", "b", "c"}) {
     cache.Insert(Entry(key, 0));
-    cache.Erase(key);
+    InvalidateKey(cache, key);
   }
   EXPECT_EQ(cache.StaleSize(), 2u);
   EXPECT_FALSE(cache.LookupStale("a", 100).has_value());  // Oldest dropped.
@@ -338,7 +362,7 @@ TEST(StaleStoreTest, FifoBoundDropsOldestRetained) {
 
   // Re-invalidating a retained key refreshes its FIFO slot, not a new one.
   cache.Insert(Entry("b", 0));
-  cache.Erase("b");
+  InvalidateKey(cache, "b");
   EXPECT_EQ(cache.StaleSize(), 2u);
   EXPECT_TRUE(cache.LookupStale("c", 100).has_value());
 }
@@ -347,7 +371,7 @@ TEST(StaleStoreTest, FreshInsertSupersedesStaleCopy) {
   QueryCache cache;
   cache.SetStaleRetention(8);
   cache.Insert(Entry("k", 0));
-  cache.Erase("k");
+  InvalidateKey(cache, "k");
   ASSERT_TRUE(cache.LookupStale("k", 100).has_value());
 
   // A fresh value for the key arrives: the stale copy must die with it —
@@ -360,7 +384,7 @@ TEST(StaleStoreTest, FreshInsertSupersedesStaleCopy) {
   EXPECT_EQ(cache.StaleSize(), 0u);
 
   // And invalidating the fresh value retains the NEW blob, not the old one.
-  cache.Erase("k");
+  InvalidateKey(cache, "k");
   cache.BumpUpdateEpoch();
   ASSERT_TRUE(cache.LookupStale("k", 1).has_value());
   EXPECT_EQ(cache.LookupStale("k", 1)->blob, "fresh");
@@ -370,7 +394,7 @@ TEST(StaleStoreTest, DisablingRetentionAndClearDropEverything) {
   QueryCache cache;
   cache.SetStaleRetention(8);
   cache.Insert(Entry("a", 0));
-  cache.Erase("a");
+  InvalidateKey(cache, "a");
   ASSERT_EQ(cache.StaleSize(), 1u);
   cache.SetStaleRetention(0);
   EXPECT_EQ(cache.StaleSize(), 0u);
@@ -378,7 +402,7 @@ TEST(StaleStoreTest, DisablingRetentionAndClearDropEverything) {
 
   cache.SetStaleRetention(8);
   cache.Insert(Entry("b", 0));
-  cache.Erase("b");
+  InvalidateKey(cache, "b");
   cache.Insert(Entry("c", 0));
   ASSERT_EQ(cache.StaleSize(), 1u);
   // Clear is an administrative reset: live entries AND stale copies go.
@@ -393,7 +417,7 @@ TEST(StaleStoreTest, ShrinkingRetentionTrimsOldestFirst) {
   for (int i = 0; i < 5; ++i) {
     const std::string key = "k" + std::to_string(i);
     cache.Insert(Entry(key, 0));
-    cache.Erase(key);
+    InvalidateKey(cache, key);
   }
   ASSERT_EQ(cache.StaleSize(), 5u);
   cache.SetStaleRetention(2);

@@ -14,8 +14,9 @@
 //     flag, error Status) to the interpreter across randomized parameter
 //     bindings — valid, NULL, and deliberately mistyped.
 //  5. The home-backend wire path: every template-shaped query is served by a
-//     compiled program (interpreter_fallback_queries() == 0) until
-//     SetProgramExecutionEnabled(false) routes them back.
+//     compiled program (interpreter_fallback_queries() == 0) with the
+//     interpreter's bytes; an ad-hoc query matching no template falls back
+//     to the interpreter and still answers correctly.
 //  6. Randomized synthetic templates (joins, aggregates, GROUP BY, ORDER BY
 //     with partial keys, literal and parameter LIMITs) over randomized
 //     small databases with NULLs: compiled vs interpreted results must
@@ -559,24 +560,13 @@ TEST(HomeServerProgramTest, TemplateQueriesNeverFallBackToInterpreter) {
   EXPECT_EQ(home.interpreter_fallback_queries(), 0u);
   EXPECT_EQ(home.program_queries() >= sent, true);
 
-  // Disabling program execution routes everything to the interpreter with
-  // identical results.
-  home.SetProgramExecutionEnabled(false);
-  const std::string sql = "SELECT u_nickname, u_rating FROM users WHERE u_id = 1";
-  const auto fallback = home.HandleQuery(
-      home.statement_cipher().Encrypt(sql), /*plaintext_result=*/true);
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_EQ(*fallback, db.Query(sql)->Serialize());
-  EXPECT_EQ(home.interpreter_fallback_queries(), 1u);
-
   // A non-template (ad-hoc) query falls back but still answers correctly.
-  home.SetProgramExecutionEnabled(true);
   const std::string adhoc = "SELECT r_name FROM regions WHERE r_id = 2";
   const auto adhoc_result = home.HandleQuery(
       home.statement_cipher().Encrypt(adhoc), /*plaintext_result=*/true);
   ASSERT_TRUE(adhoc_result.ok());
   EXPECT_EQ(*adhoc_result, db.Query(adhoc)->Serialize());
-  EXPECT_EQ(home.interpreter_fallback_queries(), 2u);
+  EXPECT_EQ(home.interpreter_fallback_queries(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 // InMemoryBackend tests behind the HomeBackend seam: prepared-statement
-// cache hit/miss/evict/kill-switch behavior (bit-identical results either
-// way), TTL'd metadata cache with explicit DDL/registration invalidation,
+// cache hit/miss/evict behavior, TTL'd metadata cache with explicit DDL/registration invalidation,
 // lazy per-tenant catalog loading, the probe wire message, and Stats()
 // surfacing the per-query program/interpreter counters.
 
@@ -83,29 +82,6 @@ TEST(StatementCacheBehavior, PrepareOncePerConnectionThenHit) {
   EXPECT_DOUBLE_EQ(stats.statements.hit_rate(), 0.8);
   EXPECT_EQ(stats.program_queries, 5u);
   EXPECT_EQ(stats.interpreter_fallback_queries, 0u);
-}
-
-TEST(StatementCacheBehavior, KillSwitchPreparesPerCallBitIdentically) {
-  auto backend = MakeBackend();
-  const std::string sql = "SELECT val FROM kv WHERE id = 11";
-  const auto cached = Query(*backend, sql);
-  ASSERT_TRUE(cached.ok());
-
-  backend->SetStatementCacheEnabled(false);
-  for (int i = 0; i < 3; ++i) {
-    const auto uncached = Query(*backend, sql);
-    ASSERT_TRUE(uncached.ok());
-    EXPECT_EQ(*uncached, *cached);  // Same program, compiled fresh per call.
-  }
-
-  const HomeBackendStats stats = backend->Stats();
-  EXPECT_EQ(stats.statements.unprepared_executions, 3u);
-  EXPECT_EQ(stats.statements.misses, 1u);  // Only the pre-kill-switch query.
-  EXPECT_EQ(stats.program_queries, 4u);  // Still the program path throughout.
-
-  backend->SetStatementCacheEnabled(true);
-  ASSERT_TRUE(Query(*backend, sql).ok());
-  EXPECT_EQ(backend->Stats().statements.hits, 1u);  // Old entry still live.
 }
 
 TEST(StatementCacheBehavior, LruCapEvictsLeastRecentlyExecuted) {
@@ -303,20 +279,6 @@ TEST(HomeBackendSeam, StatsSurfacesProgramAndInterpreterCounters) {
             backend->interpreter_fallback_queries());
   EXPECT_EQ(stats.pool.leases_granted, 3u);
   EXPECT_EQ(stats.pool.size, 8u);  // Default PoolOptions.
-}
-
-TEST(HomeBackendSeam, ProgramExecutionDisabledRoutesEverythingToInterpreter) {
-  auto backend = MakeBackend();
-  backend->SetProgramExecutionEnabled(false);
-  const auto result = Query(*backend, "SELECT val FROM kv WHERE id = 6");
-  ASSERT_TRUE(result.ok());
-  backend->SetProgramExecutionEnabled(true);
-  const auto programmed = Query(*backend, "SELECT val FROM kv WHERE id = 6");
-  ASSERT_TRUE(programmed.ok());
-  EXPECT_EQ(*result, *programmed);  // Differential: identical bytes.
-  const HomeBackendStats stats = backend->Stats();
-  EXPECT_EQ(stats.interpreter_fallback_queries, 1u);
-  EXPECT_EQ(stats.program_queries, 1u);
 }
 
 }  // namespace

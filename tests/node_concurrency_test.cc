@@ -1,5 +1,8 @@
 // Race-hunting smoke tests for the sharded DsspNode and QueryCache: mixed
-// lookup/store/update/admin traffic from real threads across two tenants.
+// lookup/store/update/admin traffic from real threads across two tenants,
+// at template and statement exposure, so both the plain group scan and the
+// predicate-index probe (its by_value buckets and per-thread probe memo)
+// run concurrently.
 // Run under ThreadSanitizer (cmake -DDSSP_TSAN=ON) to hunt races; the
 // assertions here only check that counters and indexes stay consistent.
 
@@ -31,6 +34,23 @@ CacheEntry TemplateEntry(const std::string& key, size_t template_index) {
   return entry;
 }
 
+// A statement-exposed toystore entry: Q0 toy_name = ?, Q1 toy_id = ?,
+// Q2 zip_code = ?. Q1 and Q2 are indexed under their bound, so stmt-level
+// notices probe them.
+CacheEntry StmtEntry(const templates::TemplateSet& templates,
+                     const std::string& key, int k) {
+  const size_t qi = static_cast<size_t>(k) % 3;
+  const Value param = qi == 0 ? Value("toy" + std::to_string(k % 16))
+                              : Value(int64_t{k % 16});
+  CacheEntry entry;
+  entry.key = key;
+  entry.level = ExposureLevel::kStmt;
+  entry.template_index = qi;
+  entry.statement = templates.queries()[qi].Bind({param});
+  entry.blob = "blob:" + key;
+  return entry;
+}
+
 class NodeConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -54,15 +74,31 @@ TEST_F(NodeConcurrencyTest, MixedTrafficAcrossTenantsIsConsistent) {
   const std::vector<std::string> tenants = {"tenant-a", "tenant-b"};
 
   // Pre-built exposure-gated notices (UpdateNotice is read-only to the
-  // node): one template-level per update template, plus a blind one.
+  // node): one template-level per update template, a blind one, and
+  // stmt-level U0 (DELETE toy_id = ?) / U1 (INSERT credit_card, zip_code)
+  // bindings that probe the Q1 / Q2 buckets.
+  const templates::TemplateSet& templates = apps_[0]->templates();
   std::vector<UpdateNotice> notices;
-  for (size_t i = 0; i < apps_[0]->templates().num_updates(); ++i) {
+  for (size_t i = 0; i < templates.num_updates(); ++i) {
     UpdateNotice notice;
     notice.level = ExposureLevel::kTemplate;
     notice.template_index = i;
     notices.push_back(std::move(notice));
   }
   notices.push_back(UpdateNotice{});  // Blind.
+  for (int64_t v = 0; v < 16; v += 3) {
+    UpdateNotice deletion;
+    deletion.level = ExposureLevel::kStmt;
+    deletion.template_index = 0;
+    deletion.statement = templates.updates()[0].Bind({Value(v)});
+    notices.push_back(std::move(deletion));
+    UpdateNotice insertion;
+    insertion.level = ExposureLevel::kStmt;
+    insertion.template_index = 1;
+    insertion.statement = templates.updates()[1].Bind(
+        {Value(int64_t{1000} + v), Value("4111"), Value(v)});
+    notices.push_back(std::move(insertion));
+  }
 
   std::atomic<uint64_t> lookups_issued{0};
   std::atomic<uint64_t> stores_issued{0};
@@ -78,7 +114,8 @@ TEST_F(NodeConcurrencyTest, MixedTrafficAcrossTenantsIsConsistent) {
           const std::string key =
               tenant + ":k" + std::to_string(k);
           if (i % 4 == 0) {
-            node_.Store(tenant, TemplateEntry(key, k % 3));
+            node_.Store(tenant, k % 2 == 0 ? TemplateEntry(key, k % 3)
+                                           : StmtEntry(templates, key, k));
             stores_issued.fetch_add(1, std::memory_order_relaxed);
           } else {
             node_.Lookup(tenant, key);
@@ -136,6 +173,21 @@ TEST_F(NodeConcurrencyTest, MixedTrafficAcrossTenantsIsConsistent) {
       EXPECT_EQ(entry->key.rfind(tenant + ":", 0), 0u);
     }
   }
+
+  // The index buckets stay consistent after the race: a stmt-level delete
+  // reaches a Q1 binding of its toy and skips one of another toy.
+  CacheEntry probed = StmtEntry(templates, "tenant-a:toy99", 1);
+  probed.statement = templates.queries()[1].Bind({Value(int64_t{99})});
+  node_.Store("tenant-a", probed);
+  UpdateNotice deletion;
+  deletion.level = ExposureLevel::kStmt;
+  deletion.template_index = 0;
+  deletion.statement = templates.updates()[0].Bind({Value(int64_t{98})});
+  node_.OnUpdate("tenant-a", deletion);
+  EXPECT_TRUE(node_.Lookup("tenant-a", probed.key).has_value());
+  deletion.statement = templates.updates()[0].Bind({Value(int64_t{99})});
+  node_.OnUpdate("tenant-a", deletion);
+  EXPECT_FALSE(node_.Lookup("tenant-a", probed.key).has_value());
 }
 
 TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
@@ -156,10 +208,16 @@ TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
             cache.Insert(TemplateEntry(key, k % 4));
             break;
           case 2:
-            cache.Erase(key);
+            cache.InvalidateEntries(
+                [](size_t) { return true; },
+                [&key](const CacheEntry& entry) { return entry.key == key; });
             break;
           case 3:
-            cache.EraseGroup(i % 4);
+            cache.InvalidateEntries(
+                [group = static_cast<size_t>(i % 4)](size_t g) {
+                  return g == group;
+                },
+                [](const CacheEntry&) { return true; });
             break;
           case 4:
             cache.Peek(key);

@@ -2,10 +2,11 @@
 //
 //  1. Unit tests for ViewIndexPlan compilation (discriminator selection,
 //     pair-probe kinds, index-key derivation) and probe range semantics.
-//  2. Differential: a node with the predicate index enabled must produce
+//  2. Differential: a node (which probes the predicate index) must produce
 //     bit-identical invalidation behavior (counts, surviving entries, stale
-//     side store) to a node running the plain group scan, on all four paper
-//     workloads and on randomized templates, at mixed exposure levels.
+//     side store) to the plain group scan of ScanOracle (scan_oracle.h), on
+//     all four paper workloads and on randomized templates, at mixed
+//     exposure levels.
 //  3. The eviction / stale-retention interaction under capacity pressure.
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "dssp/node.h"
 #include "dssp/view_index.h"
 #include "engine/database.h"
+#include "scan_oracle.h"
 #include "sql/ast.h"
 #include "sql/parser.h"
 #include "templates/template.h"
@@ -233,27 +235,24 @@ TEST(ViewIndexPlanTest, MalformedBoundUpdateDegradesToScan) {
 
 // ----- Node-level differential: probed vs plain scan. -----
 
-// Drives two DsspNodes through an identical store/update history — one with
-// the predicate index enabled, one with it disabled (the legacy scan) — and
-// asserts identical observable state after every update.
+// Drives a DsspNode and the scan oracle through an identical store/update
+// history and asserts identical observable state after every update.
 class NodePairHarness {
  public:
   NodePairHarness(const catalog::Catalog* catalog,
                   const templates::TemplateSet* templates)
-      : catalog_(catalog), templates_(templates) {
-    scan_node_.SetPredicateIndexEnabled(false);
+      : templates_(templates), scan_(*catalog, *templates) {
     DSSP_CHECK(probe_node_.RegisterApp(kApp, catalog, templates).ok());
-    DSSP_CHECK(scan_node_.RegisterApp(kApp, catalog, templates).ok());
     probe_node_.SetStaleRetention(kApp, 64);
-    scan_node_.SetStaleRetention(kApp, 64);
+    scan_.cache().SetStaleRetention(64);
   }
 
   void SetCapacity(size_t cap) {
     probe_node_.SetCacheCapacity(kApp, cap);
-    scan_node_.SetCacheCapacity(kApp, cap);
+    scan_.cache().SetCapacity(cap);
   }
 
-  // Stores one query-template binding at `level` on both nodes.
+  // Stores one query-template binding at `level` on the node and the oracle.
   void StoreBound(size_t qi, const std::vector<Value>& params,
                   ExposureLevel level) {
     CacheEntry entry;
@@ -268,33 +267,33 @@ class NodePairHarness {
     if (level == ExposureLevel::kView) entry.result.emplace();
     keys_.push_back(entry.key);
     probe_node_.Store(kApp, entry);
-    scan_node_.Store(kApp, std::move(entry));
+    scan_.Store(std::move(entry));
   }
 
-  // Applies one notice to both nodes and checks every observable matches.
+  // Applies one notice to both sides and checks every observable matches.
   void Update(const UpdateNotice& notice) {
     const size_t probed = probe_node_.OnUpdate(kApp, notice);
-    const size_t scanned = scan_node_.OnUpdate(kApp, notice);
+    const size_t scanned = scan_.OnUpdate(notice);
     ASSERT_EQ(probed, scanned) << "invalidation count diverged";
-    ASSERT_EQ(probe_node_.CacheSize(kApp), scan_node_.CacheSize(kApp));
+    ASSERT_EQ(probe_node_.CacheSize(kApp), scan_.cache().size());
     for (const std::string& key : keys_) {
       SCOPED_TRACE("key " + key);
       // Peek-free membership check via the stale store bound trick is not
       // possible here, so use Lookup on both (symmetric side effects).
       const bool in_probe = probe_node_.Lookup(kApp, key).has_value();
-      const bool in_scan = scan_node_.Lookup(kApp, key).has_value();
+      const bool in_scan = scan_.cache().Lookup(key).has_value();
       ASSERT_EQ(in_probe, in_scan) << "survivor set diverged";
       // Stale store: identical membership at several bounds.
       for (uint64_t bound : {uint64_t{0}, uint64_t{1}, uint64_t{3},
                              uint64_t{100}}) {
         ASSERT_EQ(
             probe_node_.LookupStale(kApp, key, bound).has_value(),
-            scan_node_.LookupStale(kApp, key, bound).has_value())
+            scan_.cache().LookupStale(key, bound).has_value())
             << "stale store diverged at bound " << bound;
       }
     }
     ASSERT_EQ(probe_node_.stats(kApp).entries_invalidated,
-              scan_node_.stats(kApp).entries_invalidated);
+              scan_.entries_invalidated());
   }
 
   DsspNode& probe_node() { return probe_node_; }
@@ -302,10 +301,9 @@ class NodePairHarness {
   static constexpr const char* kApp = "diff";
 
  private:
-  const catalog::Catalog* catalog_;
   const templates::TemplateSet* templates_;
   DsspNode probe_node_;
-  DsspNode scan_node_;
+  ScanOracle scan_;
   std::vector<std::string> keys_;
 };
 
@@ -450,7 +448,7 @@ TEST(ViewIndexDifferentialTest, EvictionAndStaleRetentionStayIdentical) {
   templates.AddUpdate(std::move(*u));
 
   // Capacity pressure makes inserts evict (bypassing the stale store) while
-  // updates invalidate (feeding it); both nodes must stay in lockstep —
+  // updates invalidate (feeding it); node and oracle must stay in lockstep —
   // including the index's bucket bookkeeping across evict/reinsert cycles.
   RunDifferential(catalog, templates, /*seed=*/99, /*entries=*/80,
                   /*updates=*/80, /*capacity=*/24);
