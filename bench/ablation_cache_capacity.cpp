@@ -36,7 +36,8 @@ int main() {
     std::printf("%10s %10.3f %10.3f %12llu %12zu\n", cap_label,
                 result->cache_hit_rate, result->p90_response_s,
                 static_cast<unsigned long long>(
-                    system->node.CacheEvictions("bookstore")),
+                    system->node.GetCacheCounters("bookstore")
+                        .total_evictions()),
                 system->node.CacheSize("bookstore"));
   }
 

@@ -4,7 +4,7 @@
 // While the member is down, the bus queues every notice it misses; the
 // rejoin drains that backlog in coalesced multi-notice frames, so the
 // catch-up costs a handful of wire round trips instead of one per missed
-// update. Watch `batches sent` and `notices replayed` in the output.
+// update. Watch the bus's `frames` and `notices replayed` in the output.
 //
 //   ./million_clients_demo [clients]   (default 50000)
 
@@ -87,12 +87,11 @@ int main(int argc, char** argv) {
 
   const dssp::cluster::BusStats bus = router.bus().stats();
   std::printf(
-      "Invalidation bus: %llu published, %llu delivered, %llu batches sent "
-      "(%llu notices coalesced), %llu dropped, %llu unreachable\n",
+      "Invalidation bus: %llu published, %llu delivered in %llu frames, "
+      "%llu dropped, %llu unreachable\n",
       static_cast<unsigned long long>(bus.published),
       static_cast<unsigned long long>(bus.delivered_notices),
       static_cast<unsigned long long>(bus.batches_sent),
-      static_cast<unsigned long long>(bus.batched_notices),
       static_cast<unsigned long long>(bus.dropped_frames),
       static_cast<unsigned long long>(bus.unreachable_failures));
   return 0;

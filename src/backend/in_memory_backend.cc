@@ -235,20 +235,14 @@ StatusOr<engine::UpdateEffect> InMemoryBackend::HandleUpdate(
   // Nonce-carrying update: the dedup check and the apply form one critical
   // section, so a retry racing the original cannot apply twice.
   MutexLock lock(dedup_mu_);
-  const auto it = applied_nonces_.find(nonce);
-  if (it != applied_nonces_.end()) {
+  if (const engine::UpdateEffect* seen = applied_nonces_.Find(nonce)) {
     duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return *seen;
   }
   DSSP_ASSIGN_OR_RETURN(engine::UpdateEffect effect,
                         database_.ExecuteUpdate(stmt));
   updates_applied_.fetch_add(1, std::memory_order_relaxed);
-  applied_nonces_.emplace(nonce, effect);
-  dedup_fifo_.push_back(nonce);
-  if (dedup_fifo_.size() > kDedupWindow) {
-    applied_nonces_.erase(dedup_fifo_.front());
-    dedup_fifo_.pop_front();
-  }
+  applied_nonces_.Insert(nonce, effect);
   return effect;
 }
 

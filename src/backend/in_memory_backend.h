@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <set>
 #include <string>
 #include <string_view>
@@ -14,6 +13,7 @@
 #include "backend/home_backend.h"
 #include "backend/metadata_cache.h"
 #include "common/mutex.h"
+#include "common/nonce_window.h"
 #include "common/status.h"
 #include "crypto/keyring.h"
 #include "engine/database.h"
@@ -133,8 +133,6 @@ class InMemoryBackend : public HomeBackend {
   // Tables any registered template touches; loaded on first use.
   std::set<std::string> TouchedTables() const;
 
-  static constexpr size_t kDedupWindow = 65536;
-
  private:
   // Executes a parsed, fully-bound query on a leased connection: via the
   // connection's prepared statement for the matching template when one
@@ -186,13 +184,11 @@ class InMemoryBackend : public HomeBackend {
   std::set<std::string> touched_tables_ DSSP_GUARDED_BY(catalog_mu_);
   size_t observed_num_tables_ DSSP_GUARDED_BY(catalog_mu_) = 0;
 
-  // Nonce -> applied effect, bounded FIFO. The mutex also serializes the
-  // apply of nonce-carrying updates so a concurrent retry of the same nonce
-  // cannot double-apply.
+  // Nonce -> applied effect. The mutex also serializes the apply of
+  // nonce-carrying updates so a concurrent retry of the same nonce cannot
+  // double-apply.
   Mutex dedup_mu_;
-  std::unordered_map<uint64_t, engine::UpdateEffect> applied_nonces_
-      DSSP_GUARDED_BY(dedup_mu_);
-  std::deque<uint64_t> dedup_fifo_ DSSP_GUARDED_BY(dedup_mu_);
+  NonceWindow<engine::UpdateEffect> applied_nonces_ DSSP_GUARDED_BY(dedup_mu_);
 };
 
 }  // namespace dssp::backend

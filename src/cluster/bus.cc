@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "dssp/protocol.h"
 #include "sql/ast.h"
@@ -15,7 +16,6 @@ using service::ErrorResponse;
 using service::InvalidateBatchRequest;
 using service::InvalidateBatchResponse;
 using service::InvalidateRequest;
-using service::InvalidateResponse;
 using service::MessageType;
 using service::Seal;
 using service::Unseal;
@@ -27,6 +27,27 @@ constexpr uint64_t kNoTemplateWire = static_cast<uint64_t>(-1);
 
 std::string SealedError(StatusCode code, std::string message) {
   return Seal(service::Encode(ErrorResponse{code, std::move(message)}));
+}
+
+// A member's per-notice verdicts on an envelope of `count` notices, given
+// its answer (or the wire error). A kError answer refuses the whole envelope
+// (deterministic, so every notice counts as refused). Any other answer that
+// is not exactly `count` acks is garbled and proves nothing about what the
+// member applied: an error, like a lost answer.
+StatusOr<std::vector<InvalidateBatchResponse::Ack>> ReadAcks(
+    const StatusOr<std::string>& answer, size_t count) {
+  if (!answer.ok()) return answer.status();
+  if (service::PeekType(*answer) == MessageType::kError) {
+    DSSP_ASSIGN_OR_RETURN(const ErrorResponse error,
+                          service::DecodeErrorResponse(*answer));
+    return std::vector<InvalidateBatchResponse::Ack>(
+        count, InvalidateBatchResponse::Ack{false, 0, error.code});
+  }
+  auto response = service::DecodeInvalidateBatchResponse(*answer);
+  if (!response.ok() || response->acks.size() != count) {
+    return CorruptFrameError("malformed invalidate batch ack");
+  }
+  return std::move(response->acks);
 }
 
 }  // namespace
@@ -60,19 +81,13 @@ StatusOr<uint64_t> NodeChannel::ApplyNoticeLocked(std::string_view inner) {
   // duplicate.
   DSSP_RETURN_IF_ERROR(node_.ValidateNotice(request.app_id, notice));
 
-  const auto it = applied_nonces_.find(request.nonce);
-  if (it != applied_nonces_.end()) {
+  if (const uint64_t* seen = applied_notices_.Find(request.nonce)) {
     duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return *seen;
   }
   const uint64_t invalidated = node_.OnUpdate(request.app_id, notice);
   notices_applied_.fetch_add(1, std::memory_order_relaxed);
-  applied_nonces_.emplace(request.nonce, invalidated);
-  dedup_fifo_.push_back(request.nonce);
-  if (dedup_fifo_.size() > kDedupWindow) {
-    applied_nonces_.erase(dedup_fifo_.front());
-    dedup_fifo_.pop_front();
-  }
+  applied_notices_.Insert(request.nonce, invalidated);
   return invalidated;
 }
 
@@ -89,10 +104,9 @@ std::string NodeChannel::HandleBatch(std::string_view inner) {
   // the wire) replays the stored acks byte for byte instead of touching the
   // node again. The per-notice nonce check below would suppress re-applies
   // anyway, but replaying the acks keeps duplicate accounting exact.
-  const auto it = applied_batches_.find(batch->nonce);
-  if (it != applied_batches_.end()) {
+  if (const std::string* seen = applied_batches_.Find(batch->nonce)) {
     duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return *seen;
   }
 
   InvalidateBatchResponse response;
@@ -110,12 +124,7 @@ std::string NodeChannel::HandleBatch(std::string_view inner) {
     response.acks.push_back(ack);
   }
   std::string encoded = service::Encode(response);
-  applied_batches_.emplace(batch->nonce, encoded);
-  batch_fifo_.push_back(batch->nonce);
-  if (batch_fifo_.size() > kDedupWindow) {
-    applied_batches_.erase(batch_fifo_.front());
-    batch_fifo_.pop_front();
-  }
+  applied_batches_.Insert(batch->nonce, encoded);
   return encoded;
 }
 
@@ -133,22 +142,13 @@ ChannelOutcome NodeChannel::RoundTrip(std::string_view frame) {
     return outcome;
   }
 
-  if (service::PeekType(*inner) == MessageType::kInvalidateBatchRequest) {
-    outcome.response = Seal(HandleBatch(*inner));
+  if (service::PeekType(*inner) != MessageType::kInvalidateBatchRequest) {
+    outcome.response =
+        SealedError(StatusCode::kInvalidArgument,
+                    "invalidation endpoint only accepts batch envelopes");
     return outcome;
   }
-
-  StatusOr<uint64_t> invalidated = uint64_t{0};
-  {
-    MutexLock lock(dedup_mu_);
-    invalidated = ApplyNoticeLocked(*inner);
-  }
-  if (!invalidated.ok()) {
-    outcome.response = SealedError(invalidated.status().code(),
-                                   invalidated.status().message());
-    return outcome;
-  }
-  outcome.response = Seal(service::Encode(InvalidateResponse{*invalidated}));
+  outcome.response = Seal(HandleBatch(*inner));
   return outcome;
 }
 
@@ -179,87 +179,47 @@ void InvalidationBus::SetDeferred(int node, bool deferred) {
   it->second->deferred = deferred;
 }
 
-StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendSingleLocked(
-    Member& member) {
-  DrainResult result;
-  service::WireStats ws;
-  auto response = member.client->Call(member.queue.front(), &ws);
-  wire_retries_.fetch_add(ws.retries, std::memory_order_relaxed);
-  if (!response.ok()) {
-    // Unreachable through the whole retry budget: the frame (and everything
-    // queued behind it, order preserved) waits for the next drain.
-    // Invalidations already applied by earlier frames stand.
-    unreachable_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (observer_) observer_(member.node, false);
-    return response.status();
-  }
-  if (observer_) observer_(member.node, true);
-  if (service::PeekType(*response) == MessageType::kInvalidateResponse) {
-    auto ack = service::DecodeInvalidateResponse(*response);
-    DSSP_CHECK(ack.ok());
-    ++result.frames;
-    result.entries += ack->entries_invalidated;
-    delivered_notices_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // The member answered but rejected the frame (kError): deterministic,
-    // so retrying is pointless — drop it and keep the queue moving. The
-    // member is now permanently behind by this notice; Dropped() exposes
-    // that to the router so stale reads stop trusting its backlog count.
-    dropped_frames_.fetch_add(1, std::memory_order_relaxed);
-    ++member.dropped;
-  }
-  member.queue.pop_front();
-  return result;
-}
-
 StatusOr<InvalidationBus::DrainResult> InvalidationBus::SendBatchLocked(
     Member& member, size_t count) {
+  const auto first = member.queue.begin();
+  const auto last = first + static_cast<ptrdiff_t>(count);
   InvalidateBatchRequest batch;
   batch.nonce = next_nonce_.fetch_add(1, std::memory_order_relaxed);
-  batch.notices.reserve(count);
-  for (size_t i = 0; i < count; ++i) batch.notices.push_back(member.queue[i]);
+  batch.notices.assign(first, last);
 
   service::WireStats ws;
-  auto response = member.client->Call(service::Encode(batch), &ws);
+  auto acks = ReadAcks(member.client->Call(service::Encode(batch), &ws), count);
   wire_retries_.fetch_add(ws.retries, std::memory_order_relaxed);
-  if (!response.ok()) {
-    // The whole envelope failed on the wire; every notice stays queued, in
-    // order, exactly as under the unbatched path. One unreachable_failure
-    // per wire exchange (not per notice) — the counter tracks wire events.
+  if (!acks.ok()) {
+    // Unreachable through the whole retry budget, or answered with a
+    // garbled ack: every notice stays queued, in order, for the next drain
+    // (their per-notice nonces make the resend safe). Invalidations already
+    // applied by earlier envelopes stand. One unreachable_failure per wire
+    // exchange (not per notice) — the counter tracks wire events.
     unreachable_failures_.fetch_add(1, std::memory_order_relaxed);
     if (observer_) observer_(member.node, false);
-    return response.status();
+    return acks.status();
   }
   if (observer_) observer_(member.node, true);
   batches_sent_.fetch_add(1, std::memory_order_relaxed);
-  batched_notices_.fetch_add(count, std::memory_order_relaxed);
 
+  // Partial ack: each notice settles on its own — an accepted one counts as
+  // delivered, a refused one as dropped (deterministic refusal, never
+  // retried) — so one bad notice cannot poison the envelope around it. The
+  // member is then permanently behind by each dropped notice; Dropped()
+  // exposes that to the router so stale reads stop trusting its backlog.
   DrainResult result;
-  if (service::PeekType(*response) == MessageType::kInvalidateBatchResponse) {
-    auto acks = service::DecodeInvalidateBatchResponse(*response);
-    DSSP_CHECK(acks.ok());
-    DSSP_CHECK(acks->acks.size() == count);
-    // Partial-ack: each notice settles on its own — an accepted one counts
-    // as delivered, a refused one as dropped (deterministic refusal, never
-    // retried) — so one bad notice cannot poison the batch around it.
-    for (const auto& ack : acks->acks) {
-      if (ack.accepted) {
-        ++result.frames;
-        result.entries += ack.entries_invalidated;
-        delivered_notices_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        dropped_frames_.fetch_add(1, std::memory_order_relaxed);
-        ++member.dropped;
-      }
+  for (const auto& ack : *acks) {
+    if (ack.accepted) {
+      ++result.frames;
+      result.entries += ack.entries_invalidated;
+      delivered_notices_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      dropped_frames_.fetch_add(1, std::memory_order_relaxed);
+      ++member.dropped;
     }
-  } else {
-    // The member refused the whole envelope (malformed batch — defensive;
-    // we built it ourselves). Deterministic, so drop all of it.
-    dropped_frames_.fetch_add(count, std::memory_order_relaxed);
-    member.dropped += count;
   }
-  member.queue.erase(member.queue.begin(),
-                     member.queue.begin() + static_cast<ptrdiff_t>(count));
+  member.queue.erase(first, last);
   return result;
 }
 
@@ -268,9 +228,8 @@ StatusOr<InvalidationBus::DrainResult> InvalidationBus::DrainLocked(
   const size_t max_batch = options_.max_batch > 0 ? options_.max_batch : 1;
   DrainResult total;
   while (!member.queue.empty()) {
-    const size_t count = std::min(max_batch, member.queue.size());
-    auto sent = count > 1 ? SendBatchLocked(member, count)
-                          : SendSingleLocked(member);
+    auto sent =
+        SendBatchLocked(member, std::min(max_batch, member.queue.size()));
     if (!sent.ok()) return sent.status();
     total.frames += sent->frames;
     total.entries += sent->entries;
@@ -341,7 +300,6 @@ BusStats InvalidationBus::stats() const {
   out.published = published_.load(std::memory_order_relaxed);
   out.delivered_notices = delivered_notices_.load(std::memory_order_relaxed);
   out.batches_sent = batches_sent_.load(std::memory_order_relaxed);
-  out.batched_notices = batched_notices_.load(std::memory_order_relaxed);
   out.dropped_frames = dropped_frames_.load(std::memory_order_relaxed);
   out.unreachable_failures =
       unreachable_failures_.load(std::memory_order_relaxed);

@@ -9,9 +9,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/mutex.h"
+#include "common/nonce_window.h"
 #include "common/status.h"
 #include "dssp/channel.h"
 #include "dssp/node.h"
@@ -21,17 +21,19 @@ namespace dssp::cluster {
 
 // In-process wire endpoint of one cluster member: the DirectChannel
 // equivalent for the node<->node invalidation wire. Accepts sealed
-// kInvalidateRequest frames, applies them to the member's DsspNode, and
-// answers with a sealed kInvalidateResponse — so the publishing side can run
-// the ordinary RetryingClient (and, wrapped in a FaultInjectingChannel, the
-// ordinary fault model) against it.
+// kInvalidateBatchRequest envelopes, applies their notices to the member's
+// DsspNode in order, and answers with a sealed kInvalidateBatchResponse of
+// per-notice acks — so the publishing side can run the ordinary
+// RetryingClient (and, wrapped in a FaultInjectingChannel, the ordinary fault
+// model) against it. Any other frame, a bare kInvalidateRequest included,
+// gets a sealed kError and applies nothing.
 //
-// At-most-once: each frame carries a nonce; a retried or transport-
-// duplicated frame whose nonce was already applied returns the stored
-// invalidation count without touching the node — re-running would not break
-// cache correctness (invalidation is idempotent on entries) but WOULD
-// advance the staleness epoch twice, silently tightening every k-staleness
-// bound derived from it.
+// At-most-once: each notice carries a nonce; a notice whose nonce was
+// already applied (a retried envelope, or a resend after a lost or garbled
+// ack) reports the stored invalidation count without touching the node —
+// re-running would not break cache correctness (invalidation is idempotent
+// on entries) but WOULD advance the staleness epoch twice, silently
+// tightening every k-staleness bound derived from it.
 //
 // Kill() simulates a crash or partition of this member: every frame is
 // dropped undelivered until Revive(). The node object itself stays intact,
@@ -40,8 +42,6 @@ namespace dssp::cluster {
 // pending queue before the member serves again.
 class NodeChannel : public service::Channel {
  public:
-  static constexpr size_t kDedupWindow = 65536;
-
   explicit NodeChannel(service::DsspNode& node) : node_(node) {}
 
   service::ChannelOutcome RoundTrip(std::string_view frame) override;
@@ -62,8 +62,8 @@ class NodeChannel : public service::Channel {
 
  private:
   // Decodes, validates, nonce-dedups, and applies one kInvalidateRequest
-  // frame. Returns the entries invalidated, or the (deterministic) refusal
-  // status.
+  // frame from inside an envelope. Returns the entries invalidated, or the
+  // (deterministic) refusal status.
   StatusOr<uint64_t> ApplyNoticeLocked(std::string_view inner)
       DSSP_REQUIRES(dedup_mu_);
 
@@ -78,20 +78,16 @@ class NodeChannel : public service::Channel {
   std::atomic<uint64_t> duplicates_suppressed_{0};
   std::atomic<uint64_t> batches_received_{0};
 
-  // Nonce -> entries invalidated, bounded FIFO (mirrors HomeServer's update
+  // Notice nonce -> entries invalidated (mirrors the home backend's update
   // dedup). The mutex also serializes apply, so a concurrent retry of the
-  // same nonce cannot double-apply. Batch envelopes get their own dedup map
-  // (nonce -> full encoded response) so a retried batch whose response was
-  // lost replays the stored acks verbatim; the per-notice map stays the
-  // authoritative guard — a notice that already arrived via a singleton
-  // frame is suppressed even when it reappears inside a batch.
+  // same nonce cannot double-apply. Envelopes get their own window (nonce ->
+  // full encoded response) so a retried envelope whose response was lost
+  // replays the stored acks verbatim; the per-notice window stays the
+  // authoritative guard — a notice that already arrived in one envelope is
+  // suppressed when it reappears in another.
   Mutex dedup_mu_;
-  std::unordered_map<uint64_t, uint64_t> applied_nonces_
-      DSSP_GUARDED_BY(dedup_mu_);
-  std::deque<uint64_t> dedup_fifo_ DSSP_GUARDED_BY(dedup_mu_);
-  std::unordered_map<uint64_t, std::string> applied_batches_
-      DSSP_GUARDED_BY(dedup_mu_);
-  std::deque<uint64_t> batch_fifo_ DSSP_GUARDED_BY(dedup_mu_);
+  NonceWindow<uint64_t> applied_notices_ DSSP_GUARDED_BY(dedup_mu_);
+  NonceWindow<std::string> applied_batches_ DSSP_GUARDED_BY(dedup_mu_);
 };
 
 struct BusOptions {
@@ -100,13 +96,13 @@ struct BusOptions {
   // on every publish — the strongest bound, and what the consistency oracle
   // runs under. A member lagging beyond the bound must not serve lookups
   // (the router enforces this via Pending()). The bound counts NOTICES, not
-  // wire frames, so it is identical under batched and unbatched fan-out.
+  // wire frames, so it is identical at every max_batch.
   size_t bus_lag = 0;
-  // Most notices coalesced into one sealed kInvalidateBatchRequest frame
-  // when a drain finds more than one queued. 1 (default) = legacy
-  // frame-per-notice wire, byte-identical to the pre-batching bus. Under
-  // update storms, a batch of N amortizes one seal/retry round trip over N
-  // notices; per-member FIFO order and the invalidation set are unchanged.
+  // Most notices per sealed kInvalidateBatchRequest envelope; a drain sends
+  // min(max_batch, queued) notices per frame. 1 (default) = one notice per
+  // frame. Under update storms, an envelope of N amortizes one seal/retry
+  // round trip over N notices; per-member FIFO order and the invalidation
+  // set are unchanged.
   size_t max_batch = 1;
   service::RetryPolicy retry;
   uint64_t seed = 0xB05B05B0;
@@ -121,26 +117,28 @@ struct PublishOutcome {
 };
 
 // Cumulative bus counters (relaxed-atomic snapshot). Permanent drops and
-// transient unreachability are deliberately separate: a dropped frame
+// transient unreachability are deliberately separate: a dropped notice
 // vanished from its queue (the member refused it — deterministic, never
-// retried), while an unreachable failure keeps the frame queued for the
-// next drain. Conflating them would let silently-vanished notices hide
-// inside ordinary wire noise.
+// retried), while an unreachable failure keeps the envelope's notices queued
+// for the next drain. Conflating them would let silently-vanished notices
+// hide inside ordinary wire noise.
 struct BusStats {
   uint64_t published = 0;           // Publish calls (one notice each).
   uint64_t delivered_notices = 0;   // Notices acknowledged by a member.
-  uint64_t batches_sent = 0;        // Multi-notice frames put on the wire.
-  uint64_t batched_notices = 0;     // Notices that rode those frames.
+  // Envelopes a member answered; together they carried exactly
+  // delivered_notices + dropped_frames notices.
+  uint64_t batches_sent = 0;
   uint64_t dropped_frames = 0;      // Refused notices, removed from queues.
-  uint64_t unreachable_failures = 0;  // Wire budget exhausted; frames kept.
+  // Wire budget exhausted, or the ack was garbled; notices kept.
+  uint64_t unreachable_failures = 0;
   uint64_t wire_retries = 0;        // RetryingClient retries, all members.
 };
 
 // Fans each exposure-gated UpdateNotice out to every member node over the
 // hardened wire path (sealed frames, bounded-backoff retries, nonce dedup —
-// all inherited from the PR-2 machinery, so a lossy inter-node wire gets
-// fault tolerance for free). Every member has a FIFO pending queue; a frame
-// leaves the queue only once its delivery is acknowledged, so an
+// all inherited from the DSSP<->home wire, so a lossy inter-node wire gets
+// fault tolerance for free). Every member has a FIFO pending queue; a notice
+// leaves the queue only once a member's ack settles it, so an
 // unreachable member accumulates exactly the notices it missed and replays
 // them, in order, when the router drains it at rejoin.
 //
@@ -172,10 +170,10 @@ class InvalidationBus {
   PublishOutcome Publish(const std::string& app_id,
                          const service::UpdateNotice& notice);
 
-  // Drains one member's queue in FIFO order — coalescing up to max_batch
-  // notices per wire frame — stopping at the first frame whose delivery
-  // fails (that frame and everything behind it stay queued). Returns the
-  // notices replayed, or the wire error.
+  // Drains one member's queue in FIFO order — up to max_batch notices per
+  // envelope — stopping at the first envelope whose exchange fails (its
+  // notices and everything behind them stay queued). Returns the notices
+  // replayed, or the wire error.
   StatusOr<uint64_t> Flush(int node);
 
   size_t Pending(int node) const;
@@ -208,9 +206,7 @@ class InvalidationBus {
   StatusOr<DrainResult> DrainLocked(Member& member)
       DSSP_REQUIRES(member.mu);
 
-  // One singleton / one batched wire exchange.
-  StatusOr<DrainResult> SendSingleLocked(Member& member)
-      DSSP_REQUIRES(member.mu);
+  // One wire exchange: the first `count` queued notices in one envelope.
   StatusOr<DrainResult> SendBatchLocked(Member& member, size_t count)
       DSSP_REQUIRES(member.mu);
 
@@ -221,7 +217,6 @@ class InvalidationBus {
   std::atomic<uint64_t> published_{0};
   std::atomic<uint64_t> delivered_notices_{0};
   std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> batched_notices_{0};
   std::atomic<uint64_t> dropped_frames_{0};
   std::atomic<uint64_t> unreachable_failures_{0};
   std::atomic<uint64_t> wire_retries_{0};

@@ -340,6 +340,7 @@ DsspStats ClusterRouter::AppStats(const std::string& app_id) const {
     total.updates_observed += s.updates_observed;
     total.entries_invalidated += s.entries_invalidated;
     total.stale_hits += s.stale_hits;
+    total.rejected_notices += s.rejected_notices;
   }
   return total;
 }

@@ -285,11 +285,6 @@ void DsspNode::SetCacheCapacity(const std::string& app_id,
   app->cache.SetCapacity(max_entries);
 }
 
-uint64_t DsspNode::CacheEvictions(const std::string& app_id) const {
-  const AppState* app = FindApp(app_id);
-  return app == nullptr ? 0 : app->cache.evictions();
-}
-
 CacheCounters DsspNode::GetCacheCounters(const std::string& app_id) const {
   const AppState* app = FindApp(app_id);
   CacheCounters counters;
@@ -303,14 +298,6 @@ CacheCounters DsspNode::GetCacheCounters(const std::string& app_id) const {
 size_t DsspNode::ClearCache(const std::string& app_id) {
   AppState* app = FindApp(app_id);
   return app == nullptr ? 0 : app->cache.Clear();
-}
-
-std::vector<std::string> DsspNode::AppIds() const {
-  ReaderMutexLock lock(mu_);
-  std::vector<std::string> ids;
-  ids.reserve(apps_.size());
-  for (const auto& [id, app] : apps_) ids.push_back(id);
-  return ids;
 }
 
 size_t DsspNode::CacheSize(const std::string& app_id) const {

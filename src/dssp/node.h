@@ -178,18 +178,11 @@ class DsspNode : public CacheBackend {
   // least recently used entries.
   void SetCacheCapacity(const std::string& app_id, size_t max_entries);
 
-  // Total capacity evictions (insert-overflow + capacity-shrink).
-  uint64_t CacheEvictions(const std::string& app_id) const;
-
   // Removal accounting split by cause (zeroes for unknown apps).
   CacheCounters GetCacheCounters(const std::string& app_id) const;
 
   // Drops an application's whole cache (e.g., to start an experiment cold).
   size_t ClearCache(const std::string& app_id) override;
-
-  // Ids of all registered applications, sorted. A cluster fan-out layer
-  // uses this to audit that every member carries the same tenant set.
-  std::vector<std::string> AppIds() const;
 
   size_t CacheSize(const std::string& app_id) const;
 

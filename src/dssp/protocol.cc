@@ -101,12 +101,6 @@ std::string Encode(const InvalidateRequest& message) {
   return out;
 }
 
-std::string Encode(const InvalidateResponse& message) {
-  std::string out(1, static_cast<char>(MessageType::kInvalidateResponse));
-  AppendU64(&out, message.entries_invalidated);
-  return out;
-}
-
 std::string Encode(const InvalidateBatchRequest& message) {
   std::string out(1, static_cast<char>(MessageType::kInvalidateBatchRequest));
   AppendU64(&out, message.nonce);
@@ -145,9 +139,12 @@ std::optional<MessageType> PeekType(std::string_view frame) {
   if (frame.empty()) return std::nullopt;
   const uint8_t type = static_cast<uint8_t>(frame[0]);
   // Range derived from the enum itself (kQueryRequest is the first real
-  // type, kMessageTypeEnd the sentinel past the last one).
+  // type, kMessageTypeEnd the sentinel past the last one), minus the one
+  // retired byte inside it.
+  constexpr uint8_t kRetiredInvalidateResponse = 8;
   if (type < static_cast<uint8_t>(MessageType::kQueryRequest) ||
-      type >= static_cast<uint8_t>(MessageType::kMessageTypeEnd)) {
+      type >= static_cast<uint8_t>(MessageType::kMessageTypeEnd) ||
+      type == kRetiredInvalidateResponse) {
     return std::nullopt;
   }
   return static_cast<MessageType>(type);
@@ -270,19 +267,6 @@ StatusOr<InvalidateRequest> DecodeInvalidateRequest(std::string_view frame) {
       !ReadString(frame, &pos, &message.statement_sql) ||
       !ReadU64(frame, &pos, &message.nonce) || message.nonce == 0) {
     return ParseError("malformed invalidate request");
-  }
-  DSSP_RETURN_IF_ERROR(CheckConsumed(frame, pos));
-  return message;
-}
-
-StatusOr<InvalidateResponse> DecodeInvalidateResponse(
-    std::string_view frame) {
-  size_t pos = 0;
-  DSSP_RETURN_IF_ERROR(
-      CheckType(frame, MessageType::kInvalidateResponse, &pos));
-  InvalidateResponse message;
-  if (!ReadU64(frame, &pos, &message.entries_invalidated)) {
-    return ParseError("malformed invalidate response");
   }
   DSSP_RETURN_IF_ERROR(CheckConsumed(frame, pos));
   return message;

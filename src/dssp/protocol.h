@@ -34,19 +34,22 @@ enum class MessageType : uint8_t {
   kError = 5,           // home -> DSSP: status code + message.
   kSealed = 6,          // Integrity envelope: checksum + inner frame.
 
-  // Cluster invalidation bus (DSSP node <-> DSSP node, src/cluster): an
-  // exposure-gated update notice fanned out to every member node, and its
-  // acknowledgement. The notice carries exactly what the update's exposure
-  // level already revealed to the publishing node — nothing extra crosses
-  // the inter-node wire.
+  // Cluster invalidation bus (DSSP node <-> DSSP node, src/cluster): one
+  // exposure-gated update notice fanned out to every member node. The notice
+  // carries exactly what the update's exposure level already revealed to the
+  // publishing node — nothing extra crosses the inter-node wire. A notice
+  // only travels inside a kInvalidateBatchRequest envelope; a bare one is
+  // refused.
   kInvalidateRequest = 7,
-  kInvalidateResponse = 8,
 
-  // Batched invalidation fan-out (DSSP node <-> DSSP node): a member's
-  // pending FIFO coalesced into one sealed frame carrying N notices under a
-  // single batch nonce, amortizing the per-frame seal/retry overhead of
-  // update storms. The response acks each notice individually, so one
-  // refused notice does not poison the batch.
+  // Byte 8 is retired (it was the singleton notice's ack). It is never
+  // reused, and PeekType refuses it like any unknown type.
+
+  // The invalidation bus frame (DSSP node <-> DSSP node): a member's pending
+  // FIFO, 1..max_batch notices under a single envelope nonce, so an update
+  // storm amortizes the per-frame seal/retry overhead. The response acks
+  // each notice individually, so one refused notice does not poison the
+  // rest.
   kInvalidateBatchRequest = 9,
   kInvalidateBatchResponse = 10,
 
@@ -103,16 +106,11 @@ struct InvalidateRequest {
   uint64_t nonce = 0;
 };
 
-struct InvalidateResponse {
-  uint64_t entries_invalidated = 0;
-};
-
-// N update notices coalesced into one wire frame, FIFO order preserved. Each
-// entry is a complete encoded kInvalidateRequest frame (with its own
-// per-notice dedup nonce), so batching changes only the envelope: the notice
-// payloads are byte-identical to the unbatched wire. The batch nonce (never
-// 0) deduplicates the whole frame at-most-once — a retried batch whose
-// response was lost returns the stored acks instead of re-running anything.
+// N >= 1 update notices in one wire frame, FIFO order preserved. Each entry
+// is a complete encoded kInvalidateRequest frame with its own per-notice
+// dedup nonce. The batch nonce (never 0) deduplicates the whole frame
+// at-most-once — a retried batch whose response was lost returns the stored
+// acks instead of re-running anything.
 struct InvalidateBatchRequest {
   uint64_t nonce = 0;
   std::vector<std::string> notices;  // Encoded kInvalidateRequest frames.
@@ -150,13 +148,13 @@ std::string Encode(const UpdateRequest& message);
 std::string Encode(const UpdateResponse& message);
 std::string Encode(const ErrorResponse& message);
 std::string Encode(const InvalidateRequest& message);
-std::string Encode(const InvalidateResponse& message);
 std::string Encode(const InvalidateBatchRequest& message);
 std::string Encode(const InvalidateBatchResponse& message);
 std::string Encode(const ProbeRequest& message);
 std::string Encode(const ProbeResponse& message);
 
-// Peeks the frame type; nullopt if the frame is empty or the type unknown.
+// Peeks the frame type; nullopt if the frame is empty or the type unknown
+// (retired byte 8 included).
 std::optional<MessageType> PeekType(std::string_view frame);
 
 // Integrity envelope for lossy/corrupting transports:
@@ -176,7 +174,6 @@ StatusOr<UpdateRequest> DecodeUpdateRequest(std::string_view frame);
 StatusOr<UpdateResponse> DecodeUpdateResponse(std::string_view frame);
 StatusOr<ErrorResponse> DecodeErrorResponse(std::string_view frame);
 StatusOr<InvalidateRequest> DecodeInvalidateRequest(std::string_view frame);
-StatusOr<InvalidateResponse> DecodeInvalidateResponse(std::string_view frame);
 StatusOr<InvalidateBatchRequest> DecodeInvalidateBatchRequest(
     std::string_view frame);
 StatusOr<InvalidateBatchResponse> DecodeInvalidateBatchResponse(

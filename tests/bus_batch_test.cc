@@ -1,8 +1,8 @@
-// Batched invalidation fan-out tests: batch frame encode/decode, the
-// batched-vs-unbatched differential (identical invalidation sets, counts,
-// and per-member FIFO order), partial-ack semantics, batch-envelope dedup,
-// and the router treating members with dropped notices as backlog-unsafe
-// for k-staleness reads.
+// Invalidation-bus envelope tests: batch frame encode/decode, the
+// max_batch 1 vs N differential (identical invalidation sets, counts, and
+// per-member FIFO order), partial-ack semantics, envelope dedup, garbled
+// acks keeping notices queued, and the router treating members with dropped
+// notices as backlog-unsafe for k-staleness reads.
 
 #include <gtest/gtest.h>
 
@@ -148,11 +148,14 @@ TEST(BatchChannelTest, RetriedBatchReplaysStoredAcksVerbatim) {
   EXPECT_EQ(channel.duplicates_suppressed(), 1u);
 }
 
-TEST(BatchChannelTest, NoticeSeenAsSingletonIsSuppressedInsideABatch) {
+TEST(BatchChannelTest, NoticeSeenInOneEnvelopeIsSuppressedInAnother) {
   service::DsspNode node;
   NodeChannel channel(node);
   const std::string notice = Encode(MakeInvalidate("app", 4));
-  ASSERT_TRUE(channel.RoundTrip(Seal(notice)).delivered);
+  InvalidateBatchRequest single;
+  single.nonce = 98;
+  single.notices.push_back(notice);
+  ASSERT_TRUE(channel.RoundTrip(Seal(Encode(single))).delivered);
 
   InvalidateBatchRequest batch;
   batch.nonce = 99;
@@ -160,16 +163,16 @@ TEST(BatchChannelTest, NoticeSeenAsSingletonIsSuppressedInsideABatch) {
   batch.notices.push_back(Encode(MakeInvalidate("app", 5)));
   ASSERT_TRUE(channel.RoundTrip(Seal(Encode(batch))).delivered);
 
-  // The per-notice nonce map stayed authoritative across the boundary.
+  // The per-notice nonce window stayed authoritative across envelopes.
   EXPECT_EQ(channel.notices_applied(), 2u);
   EXPECT_EQ(channel.duplicates_suppressed(), 1u);
 }
 
-// ----- Bus batching: differential vs the unbatched wire. -----
+// ----- Bus envelopes: max_batch 1 vs N. -----
 
 // Channel decorator that records every inner notice nonce crossing the
-// wire, unwrapping batch envelopes, so tests can assert per-member FIFO
-// delivery order independent of framing.
+// wire, unwrapping envelopes, so tests can assert per-member FIFO delivery
+// order independent of how many notices share a frame.
 class RecordingChannel : public service::Channel {
  public:
   explicit RecordingChannel(service::Channel& inner) : inner_(inner) {}
@@ -178,20 +181,13 @@ class RecordingChannel : public service::Channel {
     auto unsealed = Unseal(frame);
     if (unsealed.ok()) {
       ++frames_;
-      if (service::PeekType(*unsealed) ==
-          MessageType::kInvalidateBatchRequest) {
-        auto batch = service::DecodeInvalidateBatchRequest(*unsealed);
-        if (batch.ok()) {
-          ++batch_frames_;
-          for (const std::string& notice : batch->notices) {
-            auto request = service::DecodeInvalidateRequest(notice);
-            if (request.ok()) nonces_.push_back(request->nonce);
-          }
+      auto batch = service::DecodeInvalidateBatchRequest(*unsealed);
+      if (batch.ok()) {
+        ++batch_frames_;
+        for (const std::string& notice : batch->notices) {
+          auto request = service::DecodeInvalidateRequest(notice);
+          if (request.ok()) nonces_.push_back(request->nonce);
         }
-      } else if (service::PeekType(*unsealed) ==
-                 MessageType::kInvalidateRequest) {
-        auto request = service::DecodeInvalidateRequest(*unsealed);
-        if (request.ok()) nonces_.push_back(request->nonce);
       }
     }
     return inner_.RoundTrip(frame);
@@ -243,16 +239,16 @@ TEST(BusBatchTest, BatchedDrainMatchesUnbatchedSetCountsAndFifoOrder) {
   EXPECT_EQ(batched.endpoint->notices_applied(),
             unbatched.endpoint->notices_applied());
 
-  // Identical notice counts; only the wire framing differs.
+  // Identical notice counts; only the notices per envelope differ.
   const BusStats u = unbatched.bus->stats();
   const BusStats b = batched.bus->stats();
   EXPECT_EQ(u.delivered_notices, b.delivered_notices);
   EXPECT_EQ(u.dropped_frames, 0u);
   EXPECT_EQ(b.dropped_frames, 0u);
-  EXPECT_EQ(u.batches_sent, 0u);
+  EXPECT_EQ(u.batches_sent, static_cast<uint64_t>(kNotices));  // 1 each.
   EXPECT_EQ(b.batches_sent, 3u);  // 4 + 4 + 2.
-  EXPECT_EQ(b.batched_notices, static_cast<uint64_t>(kNotices));
   EXPECT_EQ(unbatched.wire->frames(), static_cast<uint64_t>(kNotices));
+  EXPECT_EQ(unbatched.wire->batch_frames(), static_cast<uint64_t>(kNotices));
   EXPECT_EQ(batched.wire->frames(), 3u);
   EXPECT_EQ(batched.wire->batch_frames(), 3u);
 }
@@ -284,6 +280,81 @@ TEST(BusBatchTest, RefusedNoticeInsideABatchIsDroppedNotRequeued) {
   EXPECT_EQ(stats.delivered_notices, 2u);
   EXPECT_EQ(stats.dropped_frames, 1u);
   EXPECT_EQ(stats.unreachable_failures, 0u);
+}
+
+// Channel decorator that forwards every envelope to the member (so its
+// notices apply) and then, while `lie` is set, replaces the member's answer
+// with it.
+class LyingChannel : public service::Channel {
+ public:
+  explicit LyingChannel(service::Channel& inner) : inner_(inner) {}
+
+  service::ChannelOutcome RoundTrip(std::string_view frame) override {
+    service::ChannelOutcome outcome = inner_.RoundTrip(frame);
+    if (!lie.empty()) outcome.response = lie;
+    return outcome;
+  }
+
+  std::string lie;
+
+ private:
+  service::Channel& inner_;
+};
+
+TEST(BusBatchTest, GarbledAckKeepsNoticesQueuedInOrder) {
+  service::DsspNode node;
+  NodeChannel endpoint(node);
+  LyingChannel liar(endpoint);
+  RecordingChannel wire(liar);
+  BusOptions options;
+  options.max_batch = 4;
+  InvalidationBus bus(options);
+  bus.AddMember(0, &wire);
+  std::vector<bool> observed;
+  bus.SetWireObserver([&](int, bool ok) { observed.push_back(ok); });
+  bus.SetDeferred(0, true);
+  service::UpdateNotice notice;  // Blind.
+  for (int i = 0; i < 3; ++i) bus.Publish("app", notice);
+  bus.SetDeferred(0, false);
+
+  // An ack vector that matches no envelope (count mismatch), then one that
+  // does not decode at all. Neither aborts; both leave every notice queued.
+  const std::string lies[] = {
+      Seal(Encode(InvalidateBatchResponse{})),
+      Seal(std::string(1, static_cast<char>(
+                              MessageType::kInvalidateBatchResponse)) +
+           "junk"),
+  };
+  for (const std::string& lie : lies) {
+    liar.lie = lie;
+    auto flushed = bus.Flush(0);
+    EXPECT_FALSE(flushed.ok());
+    EXPECT_EQ(bus.Pending(0), 3u);
+  }
+  BusStats stats = bus.stats();
+  EXPECT_EQ(stats.unreachable_failures, 2u);
+  EXPECT_EQ(stats.delivered_notices, 0u);
+  EXPECT_EQ(stats.dropped_frames, 0u);
+  EXPECT_EQ(stats.batches_sent, 0u);
+  EXPECT_EQ(bus.Dropped(0), 0u);
+  EXPECT_EQ(observed, (std::vector<bool>{false, false}));
+
+  // An honest answer settles them. The member applied each notice once, on
+  // the first lied-about exchange; every resend was nonce-suppressed.
+  liar.lie.clear();
+  auto flushed = bus.Flush(0);
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(*flushed, 3u);
+  EXPECT_EQ(bus.Pending(0), 0u);
+  EXPECT_EQ(endpoint.notices_applied(), 3u);
+  EXPECT_EQ(endpoint.duplicates_suppressed(), 6u);
+  EXPECT_EQ(observed, (std::vector<bool>{false, false, true}));
+  stats = bus.stats();
+  EXPECT_EQ(stats.delivered_notices, 3u);
+  EXPECT_EQ(stats.batches_sent, 1u);
+  // Same notices, same order, on every attempt.
+  EXPECT_EQ(wire.nonces(),
+            (std::vector<uint64_t>{1, 2, 3, 1, 2, 3, 1, 2, 3}));
 }
 
 // ----- Router: dropped notices make a member backlog-unsafe. -----

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/exposure.h"
 #include "catalog/schema.h"
 #include "cluster/bus.h"
 #include "cluster/membership.h"
@@ -116,10 +117,38 @@ service::InvalidateRequest MakeInvalidate(const std::string& app_id,
   return request;
 }
 
+// A sealed one-notice envelope: the bus's frame at max_batch = 1.
+std::string Envelope(uint64_t batch_nonce,
+                     const service::InvalidateRequest& notice) {
+  service::InvalidateBatchRequest batch;
+  batch.nonce = batch_nonce;
+  batch.notices.push_back(Encode(notice));
+  return Seal(Encode(batch));
+}
+
+// Sends `notice` in a one-notice envelope and returns the member's ack.
+service::InvalidateBatchResponse::Ack SendOne(
+    NodeChannel& channel, uint64_t batch_nonce,
+    const service::InvalidateRequest& notice) {
+  const service::ChannelOutcome outcome =
+      channel.RoundTrip(Envelope(batch_nonce, notice));
+  EXPECT_TRUE(outcome.delivered);
+  auto inner = service::Unseal(outcome.response);
+  EXPECT_TRUE(inner.ok());
+  if (!inner.ok()) return {};
+  auto acks = service::DecodeInvalidateBatchResponse(*inner);
+  EXPECT_TRUE(acks.ok());
+  if (!acks.ok() || acks->acks.size() != 1) {
+    ADD_FAILURE() << "expected exactly one ack";
+    return {};
+  }
+  return acks->acks[0];
+}
+
 TEST(NodeChannelTest, DuplicateNonceAppliesOnce) {
   service::DsspNode node;
   NodeChannel channel(node);
-  const std::string frame = Seal(Encode(MakeInvalidate("app", 7)));
+  const std::string frame = Envelope(7, MakeInvalidate("app", 7));
 
   auto first = channel.RoundTrip(frame);
   ASSERT_TRUE(first.delivered);
@@ -134,7 +163,7 @@ TEST(NodeChannelTest, KilledChannelDropsFramesUntilRevive) {
   service::DsspNode node;
   NodeChannel channel(node);
   channel.Kill();
-  const std::string frame = Seal(Encode(MakeInvalidate("app", 1)));
+  const std::string frame = Envelope(1, MakeInvalidate("app", 1));
   EXPECT_FALSE(channel.RoundTrip(frame).delivered);
   EXPECT_EQ(channel.notices_applied(), 0u);
   channel.Revive();
@@ -151,8 +180,20 @@ TEST(NodeChannelTest, MalformedFramesAnswerWithSealedErrors) {
   auto inner = service::Unseal(outcome.response);
   ASSERT_TRUE(inner.ok());
   EXPECT_EQ(service::PeekType(*inner), service::MessageType::kError);
-  // Sealed, but a zero nonce is invalid on the wire.
-  outcome = channel.RoundTrip(Seal(Encode(MakeInvalidate("app", 0))));
+  // Sealed, but a zero envelope nonce is invalid on the wire.
+  outcome = channel.RoundTrip(Envelope(0, MakeInvalidate("app", 1)));
+  ASSERT_TRUE(outcome.delivered);
+  inner = service::Unseal(outcome.response);
+  ASSERT_TRUE(inner.ok());
+  EXPECT_EQ(service::PeekType(*inner), service::MessageType::kError);
+  // A well-formed envelope around a notice with a zero nonce: that notice
+  // alone is refused.
+  const service::InvalidateBatchResponse::Ack ack =
+      SendOne(channel, 1, MakeInvalidate("app", 0));
+  EXPECT_FALSE(ack.accepted);
+  EXPECT_EQ(ack.code, StatusCode::kParseError);
+  // A bare notice outside any envelope is refused and not applied.
+  outcome = channel.RoundTrip(Seal(Encode(MakeInvalidate("app", 2))));
   ASSERT_TRUE(outcome.delivered);
   inner = service::Unseal(outcome.response);
   ASSERT_TRUE(inner.ok());
@@ -274,6 +315,20 @@ TEST(ClusterRouterTest, SingleNodeClusterBehavesLikeOneNode) {
   EXPECT_EQ(router.AppStats("kv").entries_invalidated,
             node.stats("kv").entries_invalidated);
   EXPECT_EQ(router.TotalCacheSize("kv"), node.CacheSize("kv"));
+}
+
+TEST(ClusterRouterTest, AppStatsSumsRejectedNotices) {
+  ClusterOptions options;
+  options.num_nodes = 2;
+  ClusterRouter router(options);
+  auto app = MakeKvApp("kv", &router);
+
+  service::UpdateNotice poison;
+  poison.level = analysis::ExposureLevel::kView;  // Never legal for updates.
+  router.node(0).OnUpdate("kv", poison);
+  ASSERT_EQ(router.node(0).stats("kv").rejected_notices, 1u);
+  EXPECT_EQ(router.AppStats("kv").rejected_notices, 1u);
+  EXPECT_EQ(router.AppStats("kv").updates_observed, 0u);
 }
 
 TEST(ClusterRouterTest, DeadOwnerFallsBackToReplicaWithoutMissing) {
@@ -481,9 +536,9 @@ TEST(ClusterConcurrencyTest, ParallelTrafficWithKillAndRejoinStaysSafe) {
 
 // ----- Malformed-notice handling on the bus endpoint. -----
 
-// A frame the node refuses (template index out of range for the app) must
-// answer with an error and must NOT consume its nonce: a later corrected
-// frame reusing the nonce still applies.
+// A notice the node refuses (template index out of range for the app) must
+// get a refused ack and must NOT consume its nonce: a later corrected notice
+// reusing the nonce still applies.
 TEST(NodeChannelTest, RejectedNoticeIsNotNonceRecorded) {
   service::DsspNode node;
   auto app = MakeKvApp("kv", &node);
@@ -492,11 +547,9 @@ TEST(NodeChannelTest, RejectedNoticeIsNotNonceRecorded) {
   service::InvalidateRequest bad = MakeInvalidate("kv", 5);
   bad.level = 1;  // Template-level...
   bad.template_index = 999;  // ...with an index the app never published.
-  auto outcome = channel.RoundTrip(Seal(Encode(bad)));
-  ASSERT_TRUE(outcome.delivered);
-  auto inner = service::Unseal(outcome.response);
-  ASSERT_TRUE(inner.ok());
-  EXPECT_EQ(service::PeekType(*inner), service::MessageType::kError);
+  service::InvalidateBatchResponse::Ack ack = SendOne(channel, 1, bad);
+  EXPECT_FALSE(ack.accepted);
+  EXPECT_EQ(ack.code, StatusCode::kInvalidArgument);
   EXPECT_EQ(channel.notices_applied(), 0u);
   // The endpoint refuses the frame before OnUpdate ever sees it; the
   // node-level rejection counter is for notices that reach the node.
@@ -505,19 +558,16 @@ TEST(NodeChannelTest, RejectedNoticeIsNotNonceRecorded) {
   service::InvalidateRequest fixed = MakeInvalidate("kv", 5);  // Same nonce.
   fixed.level = 1;
   fixed.template_index = 0;
-  outcome = channel.RoundTrip(Seal(Encode(fixed)));
-  ASSERT_TRUE(outcome.delivered);
+  EXPECT_TRUE(SendOne(channel, 2, fixed).accepted);
   EXPECT_EQ(channel.notices_applied(), 1u);
   EXPECT_EQ(channel.duplicates_suppressed(), 0u);
 
   // An out-of-range level byte is refused before it ever becomes an enum.
   service::InvalidateRequest bad_level = MakeInvalidate("kv", 6);
   bad_level.level = 7;
-  outcome = channel.RoundTrip(Seal(Encode(bad_level)));
-  ASSERT_TRUE(outcome.delivered);
-  inner = service::Unseal(outcome.response);
-  ASSERT_TRUE(inner.ok());
-  EXPECT_EQ(service::PeekType(*inner), service::MessageType::kError);
+  ack = SendOne(channel, 3, bad_level);
+  EXPECT_FALSE(ack.accepted);
+  EXPECT_EQ(ack.code, StatusCode::kParseError);  // The codec refuses it.
   EXPECT_EQ(channel.notices_applied(), 1u);
 }
 
@@ -534,13 +584,13 @@ TEST(NodeChannelTest, RemoteInvalidationAdvancesStaleEpochOnce) {
   entry.blob = "blob";
   node.Store("kv", std::move(entry));
 
-  const std::string frame = Seal(Encode(MakeInvalidate("kv", 9)));
-  ASSERT_TRUE(channel.RoundTrip(frame).delivered);
+  EXPECT_TRUE(SendOne(channel, 1, MakeInvalidate("kv", 9)).accepted);
   EXPECT_TRUE(node.LookupStale("kv", "k", 1).has_value());
   EXPECT_FALSE(node.LookupStale("kv", "k", 0).has_value());
 
-  // Same nonce again: suppressed, the entry is still only one behind.
-  ASSERT_TRUE(channel.RoundTrip(frame).delivered);
+  // Same notice nonce again, in a new envelope (a resend after a lost ack):
+  // suppressed, the entry is still only one behind.
+  EXPECT_TRUE(SendOne(channel, 2, MakeInvalidate("kv", 9)).accepted);
   EXPECT_EQ(channel.duplicates_suppressed(), 1u);
   EXPECT_TRUE(node.LookupStale("kv", "k", 1).has_value());
 }

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/hash.h"
+#include "common/nonce_window.h"
 #include "common/queueing.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -283,6 +284,39 @@ TEST(QueueingResourceTest, BacklogAndReset) {
   EXPECT_DOUBLE_EQ(r.CurrentBacklog(4.0), 0.0);
   r.Reset();
   EXPECT_DOUBLE_EQ(r.CurrentBacklog(1.0), 0.0);
+}
+
+// ----- NonceWindow -----
+
+TEST(NonceWindowTest, RemembersFirstResultPerNonce) {
+  NonceWindow<int> window;
+  EXPECT_EQ(window.Find(7), nullptr);
+  window.Insert(7, 70);
+  window.Insert(7, 71);  // A repeat keeps the first result.
+  ASSERT_NE(window.Find(7), nullptr);
+  EXPECT_EQ(*window.Find(7), 70);
+  EXPECT_EQ(window.size(), 1u);
+}
+
+TEST(NonceWindowTest, EntryPastCapacityForgetsOnlyTheOldest) {
+  constexpr uint64_t kCapacity = NonceWindow<uint64_t>::kCapacity;
+  ASSERT_EQ(kCapacity, 65536u);
+  NonceWindow<uint64_t> window;
+  for (uint64_t nonce = 1; nonce <= kCapacity; ++nonce) {
+    window.Insert(nonce, nonce * 10);
+  }
+  ASSERT_EQ(window.size(), kCapacity);
+  ASSERT_NE(window.Find(1), nullptr);
+
+  window.Insert(kCapacity + 1, 0);  // Entry 65537.
+  EXPECT_EQ(window.size(), kCapacity);
+  EXPECT_EQ(window.Find(1), nullptr);
+  for (uint64_t nonce = 2; nonce <= kCapacity; ++nonce) {
+    const uint64_t* kept = window.Find(nonce);
+    ASSERT_NE(kept, nullptr) << nonce;
+    EXPECT_EQ(*kept, nonce * 10);
+  }
+  ASSERT_NE(window.Find(kCapacity + 1), nullptr);
 }
 
 }  // namespace

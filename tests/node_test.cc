@@ -100,7 +100,7 @@ TEST_F(NodeTest, CapacityBoundsOneTenant) {
     ASSERT_TRUE(app_->Query("Q2", {Value(i)}).ok());
   }
   EXPECT_EQ(node_.CacheSize("toystore"), 3u);
-  EXPECT_EQ(node_.CacheEvictions("toystore"), 7u);
+  EXPECT_EQ(node_.GetCacheCounters("toystore").total_evictions(), 7u);
   // The most recent entries are the survivors: Q2(10) hits...
   AccessStats stats;
   ASSERT_TRUE(app_->Query("Q2", {Value(10)}, &stats).ok());
@@ -157,7 +157,6 @@ TEST_F(NodeTest, StatsForUnknownAppAreZero) {
 }
 
 TEST_F(NodeTest, CacheAccountingForUnknownAppIsZero) {
-  EXPECT_EQ(node_.CacheEvictions("ghost"), 0u);
   const CacheCounters counters = node_.GetCacheCounters("ghost");
   EXPECT_EQ(counters.total_evictions(), 0u);
   EXPECT_EQ(counters.invalidation_removals, 0u);
@@ -181,7 +180,6 @@ TEST_F(NodeTest, CacheCountersSplitEvictionCauses) {
   counters = node_.GetCacheCounters("toystore");
   EXPECT_EQ(counters.shrink_evictions, 2u);
   EXPECT_EQ(counters.total_evictions(), 4u);
-  EXPECT_EQ(node_.CacheEvictions("toystore"), 4u);
   // Invalidation removals are not evictions.
   UpdateNotice notice;
   notice.level = ExposureLevel::kBlind;

@@ -4,7 +4,10 @@
 // sealed-frame envelope detects every byte of damage. Includes regression
 // frames for the ReadString/ReadU64 length-overflow bug, where a 64-bit
 // attacker-controlled length near UINT64_MAX wrapped the `pos + length`
-// bounds check and walked past the end of the frame.
+// bounds check and walked past the end of the frame. The inter-node wire is
+// fuzzed end to end too: the invalidation bus endpoint (NodeChannel) answers
+// every frame with a sealed, decodable reply, and the retired frame byte 8
+// is refused everywhere.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +15,10 @@
 #include <string>
 
 #include "backend/in_memory_backend.h"
+#include "cluster/bus.h"
 #include "common/random.h"
 #include "crypto/keyring.h"
+#include "dssp/node.h"
 #include "dssp/protocol.h"
 
 namespace dssp::service {
@@ -43,9 +48,52 @@ void ExerciseAllDecoders(const std::string& frame) {
   (void)DecodeUpdateRequest(frame);
   (void)DecodeUpdateResponse(frame);
   (void)DecodeErrorResponse(frame);
+  (void)DecodeInvalidateRequest(frame);
+  (void)DecodeInvalidateBatchRequest(frame);
+  (void)DecodeInvalidateBatchResponse(frame);
+  (void)DecodeProbeRequest(frame);
+  (void)DecodeProbeResponse(frame);
   (void)Unseal(frame);
   (void)UnwrapQueryResponse(frame);
   (void)UnwrapUpdateResponse(frame);
+}
+
+// A random bus notice: legal and illegal levels (3 is kView, never legal for
+// an update; 4 is out of range), exposed and unexposed template indexes, and
+// an occasional statement.
+InvalidateRequest RandomNotice(Rng& rng) {
+  InvalidateRequest notice;
+  notice.app_id = rng.NextBool(0.8) ? "app" : RandomBytes(rng, 4);
+  notice.level = static_cast<uint8_t>(rng.NextBelow(5));
+  notice.template_index =
+      rng.NextBool(0.5) ? static_cast<uint64_t>(-1) : rng.NextBelow(4);
+  if (rng.NextBool(0.2)) notice.statement_sql = "DELETE FROM t WHERE id = 1";
+  notice.nonce = rng.Next() | 1;
+  return notice;
+}
+
+// An unsealed envelope of 1..3 random notices.
+std::string RandomEnvelope(Rng& rng) {
+  InvalidateBatchRequest batch;
+  batch.nonce = rng.Next() | 1;
+  const size_t count = 1 + rng.NextBelow(3);
+  for (size_t i = 0; i < count; ++i) {
+    batch.notices.push_back(Encode(RandomNotice(rng)));
+  }
+  return Encode(batch);
+}
+
+InvalidateBatchResponse RandomAcks(Rng& rng) {
+  InvalidateBatchResponse response;
+  const size_t count = rng.NextBelow(4);
+  for (size_t i = 0; i < count; ++i) {
+    if (rng.NextBool(0.5)) {
+      response.acks.push_back({true, rng.NextBelow(100), StatusCode::kOk});
+    } else {
+      response.acks.push_back({false, 0, StatusCode::kInvalidArgument});
+    }
+  }
+  return response;
 }
 
 // One random structural mutation; always returns a string != `frame` unless
@@ -192,6 +240,11 @@ TEST(ProtocolRoundTripPropertyTest, SealUnsealRoundTripsEveryType) {
         Encode(UpdateRequest{payload, rng.Next() | 1}),
         Encode(UpdateResponse{rng.Next()}),
         Encode(ErrorResponse{StatusCode::kUnavailable, payload}),
+        Encode(RandomNotice(rng)),
+        RandomEnvelope(rng),
+        Encode(RandomAcks(rng)),
+        Encode(ProbeRequest{rng.Next()}),
+        Encode(ProbeResponse{rng.Next()}),
     };
     for (const std::string& frame : frames) {
       const std::string sealed = Seal(frame);
@@ -212,7 +265,7 @@ TEST(ProtocolMutationFuzzTest, MutatedFramesNeverCrashAnyDecoder) {
   for (int trial = 0; trial < 2000; ++trial) {
     const std::string payload = RandomBytes(rng, rng.NextBelow(64));
     std::string frame;
-    switch (rng.NextBelow(6)) {
+    switch (rng.NextBelow(11)) {
       case 0: frame = Encode(QueryRequest{payload, rng.NextBool(0.5)}); break;
       case 1: frame = Encode(QueryResponse{payload}); break;
       case 2:
@@ -223,6 +276,11 @@ TEST(ProtocolMutationFuzzTest, MutatedFramesNeverCrashAnyDecoder) {
       case 4:
         frame = Encode(ErrorResponse{StatusCode::kParseError, payload});
         break;
+      case 5: frame = Encode(RandomNotice(rng)); break;
+      case 6: frame = RandomEnvelope(rng); break;
+      case 7: frame = Encode(RandomAcks(rng)); break;
+      case 8: frame = Encode(ProbeRequest{rng.Next()}); break;
+      case 9: frame = Encode(ProbeResponse{rng.Next()}); break;
       default: frame = Seal(Encode(QueryResponse{payload})); break;
     }
     // Up to three stacked mutations.
@@ -334,6 +392,77 @@ TEST_F(DispatchFuzzTest, SealedRequestsGetSealedReplies) {
   auto error = DecodeErrorResponse(*corrupt_reply);
   ASSERT_TRUE(error.ok());
   EXPECT_EQ(error->code, StatusCode::kCorruptFrame);
+}
+
+TEST_F(DispatchFuzzTest, RetiredByte8IsRefusedEverywhere) {
+  // Byte 8 was the singleton invalidate ack; it is retired, not reused.
+  std::string retired(1, '\x08');
+  AppendLe64(&retired, 5);  // Its old payload: entries invalidated.
+  EXPECT_FALSE(PeekType(retired).has_value());
+  EXPECT_EQ(PeekType(std::string(1, '\x07')), MessageType::kInvalidateRequest);
+  EXPECT_EQ(PeekType(std::string(1, '\x09')),
+            MessageType::kInvalidateBatchRequest);
+
+  // The home dispatcher treats it as an unknown frame...
+  auto home_error = DecodeErrorResponse(DispatchFrame(home_, retired));
+  ASSERT_TRUE(home_error.ok());
+  EXPECT_EQ(home_error->code, StatusCode::kParseError);
+
+  // ...and the bus endpoint answers it with a sealed kError.
+  DsspNode node;
+  cluster::NodeChannel channel(node);
+  const ChannelOutcome outcome = channel.RoundTrip(Seal(retired));
+  ASSERT_TRUE(outcome.delivered);
+  auto reply = Unseal(outcome.response);
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(PeekType(*reply), MessageType::kError);
+  EXPECT_TRUE(DecodeErrorResponse(*reply).ok());
+  EXPECT_EQ(channel.notices_applied(), 0u);
+}
+
+// ----- The invalidation bus endpoint under fuzzed input. -----
+
+TEST(InvalidationEndpointFuzzTest, EveryFrameGetsASealedDecodableReply) {
+  DsspNode node;
+  cluster::NodeChannel channel(node);
+  Rng rng(0xB0B5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string frame;
+    switch (rng.NextBelow(5)) {
+      case 0:  // Garbage.
+        frame = RandomBytes(rng, rng.NextBelow(96));
+        break;
+      case 1:  // Correctly sealed garbage.
+        frame = Seal(RandomBytes(rng, rng.NextBelow(96)));
+        break;
+      case 2:  // Damaged before sealing: a hostile but intact frame.
+        frame = Seal(Mutate(rng, RandomEnvelope(rng)));
+        break;
+      case 3:  // Damaged on the wire.
+        frame = Mutate(rng, Seal(RandomEnvelope(rng)));
+        break;
+      default:  // Intact.
+        frame = Seal(RandomEnvelope(rng));
+        break;
+    }
+    const uint64_t applied_before = channel.notices_applied();
+    const ChannelOutcome outcome = channel.RoundTrip(frame);
+    ASSERT_TRUE(outcome.delivered);
+    auto reply = Unseal(outcome.response);
+    ASSERT_TRUE(reply.ok());
+    const auto type = PeekType(*reply);
+    if (type == MessageType::kInvalidateBatchResponse) {
+      EXPECT_TRUE(DecodeInvalidateBatchResponse(*reply).ok());
+    } else {
+      ASSERT_EQ(type, MessageType::kError);
+      EXPECT_TRUE(DecodeErrorResponse(*reply).ok());
+    }
+    if (!Unseal(frame).ok()) {
+      EXPECT_EQ(channel.notices_applied(), applied_before);
+    }
+  }
+  // The intact share really reached the node.
+  EXPECT_GT(channel.notices_applied(), 0u);
 }
 
 }  // namespace
