@@ -64,6 +64,7 @@ Status InMemoryBackend::AddQueryTemplate(std::string_view sql) {
   // prepared on first execution.
   const size_t index = templates_.queries().size() - 1;
   const templates::QueryTemplate& tmpl = templates_.queries()[index];
+  database_.IndexEqualityColumns(tmpl.statement());
   StatusOr<engine::QueryProgram> program = engine::QueryProgram::Compile(
       database_.catalog(), tmpl.statement().select());
   compilable_.push_back(program.ok());
@@ -82,6 +83,7 @@ Status InMemoryBackend::AddQueryTemplate(std::string_view sql) {
 
 Status InMemoryBackend::AddUpdateTemplate(std::string_view sql) {
   DSSP_RETURN_IF_ERROR(templates_.AddUpdateSql(sql, database_.catalog()));
+  database_.IndexEqualityColumns(templates_.updates().back().statement());
   metadata_.InvalidateAll();
   catalog_loaded_.store(false, std::memory_order_release);
   return Status::Ok();

@@ -1,5 +1,8 @@
 #include "engine/database.h"
 
+#include <utility>
+#include <vector>
+
 #include "engine/eval.h"
 #include "engine/executor.h"
 #include "sql/parser.h"
@@ -8,8 +11,9 @@ namespace dssp::engine {
 
 namespace {
 
-// Candidate rows for a single-table conjunctive predicate: probes the hash
-// index when an `column = literal` conjunct exists, else scans.
+// Candidate rows for a single-table conjunctive predicate: probes the column
+// of the first `column = literal` conjunct (Table::SlotsWithValue), else
+// scans.
 std::vector<size_t> CandidateSlots(const Table& table,
                                    const std::vector<sql::Comparison>& where) {
   const catalog::TableSchema& schema = table.schema();
@@ -42,6 +46,51 @@ Status Database::CreateTable(catalog::TableSchema schema) {
   const catalog::TableSchema& stored = catalog_.GetTable(schema.name());
   tables_.emplace(stored.name(), Table(stored));
   return Status::Ok();
+}
+
+void Database::IndexEqualityColumns(const sql::Statement& stmt) {
+  // FROM names (alias or table) -> table, in FROM order.
+  std::vector<std::pair<std::string, Table*>> scope;
+  const std::vector<sql::Comparison>* where = nullptr;
+  switch (stmt.kind()) {
+    case sql::StatementKind::kSelect:
+      for (const sql::TableRef& ref : stmt.select().from) {
+        scope.emplace_back(ref.effective_name(), FindMutableTable(ref.table));
+      }
+      where = &stmt.select().where;
+      break;
+    case sql::StatementKind::kDelete:
+      scope.emplace_back(stmt.del().table, FindMutableTable(stmt.del().table));
+      where = &stmt.del().where;
+      break;
+    case sql::StatementKind::kUpdate:
+      scope.emplace_back(stmt.update().table,
+                         FindMutableTable(stmt.update().table));
+      where = &stmt.update().where;
+      break;
+    case sql::StatementKind::kInsert:
+      return;
+  }
+  for (const sql::Comparison& cmp : *where) {
+    if (cmp.op != sql::CompareOp::kEq) continue;
+    if (sql::IsColumn(cmp.lhs) == sql::IsColumn(cmp.rhs)) continue;
+    const sql::ColumnRef& ref = std::get<sql::ColumnRef>(
+        sql::IsColumn(cmp.lhs) ? cmp.lhs : cmp.rhs);
+    Table* target = nullptr;
+    size_t col = 0;
+    int matches = 0;
+    for (const auto& [name, table] : scope) {
+      if (table == nullptr || (!ref.table.empty() && ref.table != name)) {
+        continue;
+      }
+      const std::optional<size_t> idx = table->schema().ColumnIndex(ref.column);
+      if (!idx.has_value()) continue;
+      target = table;
+      col = *idx;
+      ++matches;
+    }
+    if (matches == 1) target->EnsureIndex(col);
+  }
 }
 
 const Table* Database::FindTable(std::string_view name) const {

@@ -41,6 +41,12 @@ class Database {
   Table* FindMutableTable(std::string_view name);
   const Table& GetTable(std::string_view name) const;
 
+  // Indexes every column `stmt` compares with `=` against a literal or a
+  // parameter — the columns its executions may probe (see Table). Columns
+  // that do not resolve to exactly one table of the statement are skipped.
+  // Called once per registered template, before traffic.
+  void IndexEqualityColumns(const sql::Statement& stmt);
+
   // Executes a parameter-free SELECT.
   StatusOr<QueryResult> ExecuteQuery(const sql::Statement& stmt) const;
 

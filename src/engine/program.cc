@@ -290,6 +290,12 @@ class QueryProgram::Compiler {
           plan.hash_join = true;
           plan.build_col = s_col.coord.col;
           plan.probe_coord = other.coord;
+          // A slot with its own probe already has a small build set; a
+          // unique join column has at most one match per tuple, so probing
+          // it per tuple emits exactly the hash join's rows in its order.
+          plan.index_join =
+              !plan.probe && schemas_[s]->IsUniqueColumn(
+                                 schemas_[s]->columns()[plan.build_col].name);
         }
       }
     }
@@ -407,9 +413,15 @@ StatusOr<QueryProgram> QueryProgram::Compile(const catalog::Catalog& catalog,
 
 bool QueryProgram::uses_full_scan() const {
   for (const SlotPlan& plan : slots_) {
-    if (!plan.probe) return true;
+    if (!plan.probe && !plan.index_join) return true;
   }
   return false;
+}
+
+size_t QueryProgram::num_index_joins() const {
+  return static_cast<size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const SlotPlan& plan) { return plan.index_join; }));
 }
 
 // ---------------------------------------------------------------------------
@@ -524,6 +536,19 @@ StatusOr<QueryResult> QueryProgram::ExecuteImpl(
     return true;
   };
 
+  // The slot's filters on one row: the kernels' per-row semantics.
+  const auto filters_pass = [&](const SlotPlan& plan, const Table& table,
+                                size_t slot) {
+    const Row& row = table.RowAt(slot);
+    for (const Filter& f : plan.filters) {
+      if (!CompareValues(row[f.col], f.op,
+                         f.col_vs_col ? row[f.rhs_col] : f.value.Get(params))) {
+        return false;
+      }
+    }
+    return true;
+  };
+
   if (constants_pass) {
     SelectionVector sel;
     slot_candidates(0, &sel);
@@ -537,10 +562,32 @@ StatusOr<QueryResult> QueryProgram::ExecuteImpl(
       }
       for (size_t s = 1; s < width; ++s) {
         const SlotPlan& plan = slots_[s];
-        slot_candidates(s, &sel);
         std::vector<uint32_t> next;
         std::vector<uint32_t> ext(width, 0);
         const size_t num_tuples = tuples.size() / width;
+        if (plan.index_join) {
+          // Index nested-loop join: no scan, no build. At most one row
+          // matches each tuple, so the order is the hash join's.
+          const Table& table = *tables[s];
+          for (size_t t = 0; t < num_tuples; ++t) {
+            const uint32_t* tuple = &tuples[t * width];
+            const sql::Value& probe =
+                tables[plan.probe_coord.slot]->RowAt(
+                    tuple[plan.probe_coord.slot])[plan.probe_coord.col];
+            if (probe.is_null()) continue;
+            table.ForEachSlotWithValue(plan.build_col, probe, [&](size_t slot) {
+              if (!filters_pass(plan, table, slot)) return;
+              std::copy(tuple, tuple + width, ext.begin());
+              ext[s] = static_cast<uint32_t>(slot);
+              if (residuals_pass(plan, ext.data())) {
+                next.insert(next.end(), ext.begin(), ext.end());
+              }
+            });
+          }
+          tuples = std::move(next);
+          continue;
+        }
+        slot_candidates(s, &sel);
         if (plan.hash_join) {
           // Identical container, reserve, insertion and probe sequence as
           // the interpreter — bucket iteration order is part of the

@@ -18,11 +18,12 @@ class Database;
 // A SELECT template compiled once — at RegisterApp / AddQueryTemplate time —
 // into a direct-coordinate op sequence: the index-probe vs full-scan choice,
 // pre-resolved (slot, column) coordinates, typed filter kernels over the
-// Table's columnar sidecar (engine/batch.h), hash-join build/probe plans,
-// the projection map, and the aggregate / ORDER BY / LIMIT tail. Execution
-// binds parameters into value slots and runs the ops with zero name
-// resolution, zero AST walking, and no per-row sql::Value materialization on
-// the filter path.
+// Table's columnar sidecar (engine/batch.h), the join plans — an index
+// nested-loop join into a unique inner column, else a hash join built over
+// the inner slot's candidates — the projection map, and the aggregate /
+// ORDER BY / LIMIT tail. Execution binds parameters into value slots and runs
+// the ops with zero name resolution, zero AST walking, and no per-row
+// sql::Value materialization on the filter path.
 //
 // Contract: for every parameter binding, Execute() is bit-identical to
 // ExecuteSelect(db, BindParameters(stmt, params)) — same rows in the same
@@ -51,12 +52,16 @@ class QueryProgram {
 
   int num_params() const { return num_params_; }
 
-  // True if any FROM slot is accessed by full scan (no equality index
-  // probe) — the "scan-heavy" class the vectorized kernels accelerate most.
+  // True if any FROM slot is accessed by full scan (neither an equality
+  // index probe nor an index join) — the "scan-heavy" class the vectorized
+  // kernels accelerate most.
   bool uses_full_scan() const;
 
   // Number of FROM slots (tables joined).
   size_t num_slots() const { return slots_.size(); }
+
+  // Number of FROM slots joined by an index nested-loop join.
+  size_t num_index_joins() const;
 
  private:
   // (FROM slot, column index) — a name resolved at compile time.
@@ -111,6 +116,9 @@ class QueryProgram {
     std::vector<Filter> filters;  // Remaining single-table conjuncts.
     // Join with the already-built tuple set (slots >= 1 only).
     bool hash_join = false;
+    // Set with hash_join when build_col is unique and the slot has no probe
+    // of its own: probe the table per tuple instead of scanning + building.
+    bool index_join = false;
     uint32_t build_col = 0;  // Join column in this slot.
     Coord probe_coord;       // Join column in an earlier slot.
     // Conjuncts that become evaluable at this stage, original order

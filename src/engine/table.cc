@@ -5,17 +5,46 @@
 namespace dssp::engine {
 
 Table::Table(const catalog::TableSchema& schema) : schema_(&schema) {
+  indexed_.resize(schema.num_columns(), 0);
   indexes_.resize(schema.num_columns());
   columns_.resize(schema.num_columns());
+  for (const std::string& pk : schema.primary_key()) {
+    EnsureIndex(*schema.ColumnIndex(pk));
+  }
+  for (const std::string& unique : schema.unique_columns()) {
+    EnsureIndex(*schema.ColumnIndex(unique));
+  }
+  for (const catalog::ForeignKey& fk : schema.foreign_keys()) {
+    EnsureIndex(*schema.ColumnIndex(fk.column));
+  }
 }
 
 uint64_t Table::IndexKey(size_t col, const sql::Value& value) const {
   return HashCombine(static_cast<uint64_t>(col), value.Hash());
 }
 
+bool Table::ComparableWithColumn(size_t col, const sql::Value& value) const {
+  if (value.is_null()) return true;
+  const bool string_column =
+      schema_->columns()[col].type == catalog::ColumnType::kString;
+  return string_column == (value.type() == sql::ValueType::kString);
+}
+
+void Table::EnsureIndex(size_t col) {
+  DSSP_CHECK(col < schema_->num_columns());
+  if (indexed_[col]) return;
+  indexed_[col] = 1;
+  for (size_t slot = 0; slot < rows_.size(); ++slot) {
+    if (live_[slot]) {
+      indexes_[col].emplace(IndexKey(col, rows_[slot][col]), slot);
+    }
+  }
+}
+
 void Table::IndexRow(size_t slot) {
   const Row& row = rows_[slot];
   for (size_t col = 0; col < row.size(); ++col) {
+    if (!indexed_[col]) continue;
     indexes_[col].emplace(IndexKey(col, row[col]), slot);
   }
 }
@@ -23,6 +52,7 @@ void Table::IndexRow(size_t slot) {
 void Table::UnindexRow(size_t slot) {
   const Row& row = rows_[slot];
   for (size_t col = 0; col < row.size(); ++col) {
+    if (!indexed_[col]) continue;
     auto [begin, end] = indexes_[col].equal_range(IndexKey(col, row[col]));
     for (auto it = begin; it != end; ++it) {
       if (it->second == slot) {
@@ -151,6 +181,11 @@ void Table::DeleteSlot(size_t slot) {
 void Table::UpdateSlot(size_t slot, size_t col, sql::Value value) {
   DSSP_CHECK(slot < rows_.size() && live_[slot]);
   DSSP_CHECK(col < schema_->num_columns());
+  if (!indexed_[col]) {
+    rows_[slot][col] = std::move(value);
+    SyncColumn(slot, col);
+    return;
+  }
   // Re-index just the touched column.
   auto [begin, end] =
       indexes_[col].equal_range(IndexKey(col, rows_[slot][col]));
@@ -177,21 +212,14 @@ std::vector<size_t> Table::AllSlots() const {
 std::vector<size_t> Table::SlotsWithValue(size_t col,
                                           const sql::Value& value) const {
   std::vector<size_t> slots;
-  auto [begin, end] = indexes_[col].equal_range(IndexKey(col, value));
-  for (auto it = begin; it != end; ++it) {
-    if (live_[it->second] && rows_[it->second][col] == value) {
-      slots.push_back(it->second);
-    }
-  }
+  ForEachSlotWithValue(col, value, [&](size_t slot) { slots.push_back(slot); });
   return slots;
 }
 
 bool Table::ContainsValue(size_t col, const sql::Value& value) const {
-  auto [begin, end] = indexes_[col].equal_range(IndexKey(col, value));
-  for (auto it = begin; it != end; ++it) {
-    if (live_[it->second] && rows_[it->second][col] == value) return true;
-  }
-  return false;
+  bool found = false;
+  ForEachSlotWithValue(col, value, [&](size_t) { found = true; });
+  return found;
 }
 
 }  // namespace dssp::engine

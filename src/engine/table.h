@@ -14,9 +14,16 @@
 namespace dssp::engine {
 
 // In-memory storage for one base relation. Rows live in slots; deleted slots
-// go on a free list and are reused. Every column carries a hash index
-// (value-hash -> slots), so equality predicates — the dominant predicate
-// shape in the paper's benchmark applications — are O(matches).
+// go on a free list and are reused. A column carries a hash index
+// (value-hash -> slots) only when something probes it: the primary-key and
+// UNIQUE columns, the referencing column of every foreign key (the
+// referenced side is a primary key), and whatever EnsureIndex adds — the
+// Database registers there every column a query, update or delete template
+// compares with `=`. Equality probes of indexed columns — the dominant
+// predicate shape in the paper's benchmark applications — are O(matches);
+// probes of other columns scan the live slots. Row maintenance (Insert,
+// DeleteSlot, UpdateSlot) touches only the indexed columns, so an update of
+// an unindexed low-cardinality column is O(1).
 //
 // Alongside the row store, every column maintains a typed columnar sidecar
 // (runtime tag + int64/double/string-pointer arrays, slot-indexed) that the
@@ -54,7 +61,17 @@ class Table {
   // All live slots, ascending.
   std::vector<size_t> AllSlots() const;
 
-  // Live slots where column `col` equals `value` (via the hash index).
+  // Indexes column `col` from now on; a populated table indexes its live
+  // rows at once. Not thread-safe against concurrent readers: call it during
+  // setup, like template registration.
+  void EnsureIndex(size_t col);
+
+  bool IsIndexed(size_t col) const { return indexed_[col] != 0; }
+
+  // Live slots where column `col` equals `value`: the hash index's bucket
+  // order for an indexed column, ascending slot order otherwise. Either way
+  // the set is the live rows whose value hashes like `value` and compares
+  // equal to it.
   std::vector<size_t> SlotsWithValue(size_t col, const sql::Value& value) const;
 
   // True if some live row has `value` in column `col`.
@@ -79,10 +96,21 @@ class Table {
   template <typename Fn>
   void ForEachSlotWithValue(size_t col, const sql::Value& value,
                             Fn&& fn) const {
-    auto [begin, end] = indexes_[col].equal_range(IndexKey(col, value));
-    for (auto it = begin; it != end; ++it) {
-      if (live_[it->second] && rows_[it->second][col] == value) {
-        fn(it->second);
+    if (indexed_[col]) {
+      auto [begin, end] = indexes_[col].equal_range(IndexKey(col, value));
+      for (auto it = begin; it != end; ++it) {
+        if (live_[it->second] && rows_[it->second][col] == value) {
+          fn(it->second);
+        }
+      }
+      return;
+    }
+    if (!ComparableWithColumn(col, value)) return;
+    const uint64_t hash = value.Hash();
+    for (size_t slot = 0; slot < rows_.size(); ++slot) {
+      if (live_[slot] && rows_[slot][col] == value &&
+          rows_[slot][col].Hash() == hash) {
+        fn(slot);
       }
     }
   }
@@ -129,6 +157,10 @@ class Table {
   };
 
   uint64_t IndexKey(size_t col, const sql::Value& value) const;
+  // False when `value` is a non-NULL value of the other type class than
+  // column `col` (string vs numeric): no row can equal it, and comparing
+  // would abort. The index answers such probes with nothing; so does a scan.
+  bool ComparableWithColumn(size_t col, const sql::Value& value) const;
   void IndexRow(size_t slot);
   void UnindexRow(size_t slot);
   void SyncColumn(size_t slot, size_t col);
@@ -138,8 +170,9 @@ class Table {
   std::vector<char> live_;
   std::vector<size_t> free_slots_;
   size_t num_live_ = 0;
-  // One multimap per column: value-hash -> slot. Collisions are resolved by
-  // re-checking the stored value.
+  // One multimap per column: value-hash -> slot, empty unless indexed_[col].
+  // Collisions are resolved by re-checking the stored value.
+  std::vector<char> indexed_;
   std::vector<std::unordered_multimap<uint64_t, size_t>> indexes_;
   std::vector<ColumnStore> columns_;
 };

@@ -21,6 +21,12 @@
 //     with partial keys, literal and parameter LIMITs) over randomized
 //     small databases with NULLs: compiled vs interpreted results must
 //     match bit-for-bit, including row order without any ORDER BY at all.
+//  7. Index nested-loop joins: joins into a primary key or a NULL-holding
+//     UNIQUE column, NULL outer join values, inner filters of both shapes,
+//     and the two cases that must stay hash joins (an inner slot with its
+//     own probe, a non-unique inner column) — each checked for its plan and
+//     differentially, again after deletes, slot reuse and updates of the
+//     join columns.
 //
 // Sections 4 and 6 together run well over 100k differential queries.
 
@@ -799,6 +805,205 @@ TEST_P(SyntheticProgramTest, CompiledMatchesInterpreterBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SyntheticProgramTest,
                          ::testing::Range<uint64_t>(1, 31));
+
+// ---------------------------------------------------------------------------
+// 7. Index nested-loop joins.
+// ---------------------------------------------------------------------------
+
+class IndexJoinTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // A join template, the plan it must compile to, and how to draw each of
+  // its parameters: 'i' a small int (sometimes NULL), 's' a tag string
+  // (sometimes NULL), 'l' a LIMIT.
+  struct Case {
+    const char* sql;
+    size_t index_joins;
+    bool full_scan;
+    const char* params;
+  };
+
+  void SetUp() override {
+    rng_ = Rng(GetParam() * 104729 + 7);
+    // o_tag is UNIQUE and nullable; o_score has duplicates; o_lo/o_hi feed
+    // a column-vs-column filter.
+    ASSERT_TRUE(db_.CreateTable(TableSchema("owners",
+                                            {{"o_id", ColumnType::kInt64},
+                                             {"o_tag", ColumnType::kString},
+                                             {"o_score", ColumnType::kInt64},
+                                             {"o_lo", ColumnType::kInt64},
+                                             {"o_hi", ColumnType::kInt64}},
+                                            {"o_id"}, /*foreign_keys=*/{},
+                                            /*unique_columns=*/{"o_tag"}))
+                    .ok());
+    // No foreign key on i_owner: dangling and NULL join values both occur.
+    ASSERT_TRUE(db_.CreateTable(TableSchema("items",
+                                            {{"i_id", ColumnType::kInt64},
+                                             {"i_owner", ColumnType::kInt64},
+                                             {"i_tag", ColumnType::kString},
+                                             {"i_grp", ColumnType::kInt64},
+                                             {"i_val", ColumnType::kDouble}},
+                                            {"i_id"}))
+                    .ok());
+    for (int64_t o = 0; o < 24; ++o) InsertOwner(o);
+    for (int64_t i = 0; i < 90; ++i) InsertItem(i);
+  }
+
+  Value SmallInt(uint64_t below) {
+    return Value(static_cast<int64_t>(rng_.NextBelow(below)));
+  }
+  Value Tag() { return Value("t" + std::to_string(rng_.NextBelow(30))); }
+
+  void InsertOwner(int64_t id) {
+    // Unique tags: the id's own tag or NULL.
+    Value tag = rng_.NextBool(0.2) ? Value::Null()
+                                   : Value("t" + std::to_string(id));
+    ASSERT_TRUE(db_.InsertRow("owners", Row{Value(id), std::move(tag),
+                                            SmallInt(4), SmallInt(5),
+                                            SmallInt(5)})
+                    .ok());
+  }
+
+  void InsertItem(int64_t id) {
+    Value owner = rng_.NextBool(0.15) ? Value::Null() : SmallInt(30);
+    Value tag = rng_.NextBool(0.15) ? Value::Null() : Tag();
+    Value val = rng_.NextBool(0.5)
+                    ? SmallInt(6)
+                    : Value(static_cast<double>(rng_.NextBelow(12)) / 2);
+    ASSERT_TRUE(db_.InsertRow("items", Row{Value(id), std::move(owner),
+                                           std::move(tag), SmallInt(5),
+                                           std::move(val)})
+                    .ok());
+  }
+
+  std::vector<Value> DrawParams(const char* spec) {
+    std::vector<Value> params;
+    for (const char* c = spec; *c != '\0'; ++c) {
+      switch (*c) {
+        case 'i':
+          params.push_back(rng_.NextBool(0.05) ? Value::Null() : SmallInt(5));
+          break;
+        case 's':
+          params.push_back(rng_.NextBool(0.05) ? Value::Null() : Tag());
+          break;
+        default:
+          params.push_back(SmallInt(12));
+          break;
+      }
+    }
+    return params;
+  }
+
+  // Every case, many bindings: compiled == interpreted, bit for bit.
+  void RunDifferential(const std::vector<Case>& cases,
+                       const std::string& phase) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(phase + ": " + c.sql);
+      const sql::Statement stmt = sql::ParseOrDie(c.sql);
+      StatusOr<QueryProgram> program =
+          QueryProgram::Compile(db_.catalog(), stmt.select());
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      EXPECT_EQ(program->num_index_joins(), c.index_joins);
+      EXPECT_EQ(program->uses_full_scan(), c.full_scan);
+      for (int round = 0; round < 40; ++round) {
+        const std::vector<Value> params = DrawParams(c.params);
+        ExpectSameOutcome(program->Execute(db_, params),
+                          db_.ExecuteQuery(sql::BindParameters(stmt, params)),
+                          "round " + std::to_string(round));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+
+  Rng rng_{1};
+  Database db_;
+};
+
+TEST_P(IndexJoinTest, MatchesInterpreterThroughDeletesReuseAndUpdates) {
+  const std::vector<Case> cases = {
+      // Inner primary key; no filter on the outer side either.
+      {"SELECT * FROM items, owners WHERE i_owner = o_id", 1, true, ""},
+      {"SELECT i_id, o_tag FROM items, owners WHERE i_grp = ? AND "
+       "o_id = i_owner",
+       1, false, "i"},
+      // ORDER BY with ties, LIMIT cuts.
+      {"SELECT i_id, o_score FROM items, owners WHERE i_owner = o_id "
+       "ORDER BY o_score DESC LIMIT ?",
+       1, true, "l"},
+      {"SELECT i_grp, COUNT(*), SUM(i_val) FROM items, owners WHERE "
+       "i_owner = o_id GROUP BY i_grp ORDER BY i_grp",
+       1, true, ""},
+      // Inner UNIQUE column holding NULLs; NULL outer tags.
+      {"SELECT i_id, o_id FROM items, owners WHERE i_tag = o_tag", 1, true,
+       ""},
+      // Inner filters: column vs value (both sides of the operator) and
+      // column vs column.
+      {"SELECT i_id, o_id, o_score FROM items, owners WHERE i_owner = o_id "
+       "AND o_score >= ? AND ? > o_lo",
+       1, true, "ii"},
+      {"SELECT i_id, o_lo, o_hi FROM items, owners WHERE i_grp = ? AND "
+       "o_lo <= o_hi AND i_owner = o_id ORDER BY o_lo LIMIT 5",
+       1, false, "i"},
+      // A residual beyond the equi conjunct, and a range on the inner key.
+      {"SELECT i_id, o_id FROM items, owners WHERE i_owner = o_id AND "
+       "i_grp < o_score AND o_id > ?",
+       1, true, "i"},
+      // Three slots: two index joins chained through owners.o_tag.
+      {"SELECT i.i_id, o.o_id, p.o_id FROM items i, owners o, owners p "
+       "WHERE i.i_owner = o.o_id AND o.o_tag = p.o_tag AND p.o_score = ?",
+       1, true, "i"},
+      {"SELECT i.i_id, p.o_id FROM items i, owners o, owners p "
+       "WHERE i.i_owner = o.o_id AND p.o_tag = o.o_tag ORDER BY p.o_score",
+       2, true, ""},
+      // Inner slot with its own probe: stays a hash join.
+      {"SELECT i_id, o_id FROM items, owners WHERE o_score = ? AND "
+       "i_owner = o_id",
+       0, true, "i"},
+      {"SELECT i_id, o_id FROM items, owners WHERE i_id = ? AND "
+       "o_tag = ? AND i_tag = o_tag",
+       0, false, "is"},
+      // Non-unique inner column: stays a hash join (multi-match order).
+      {"SELECT o_id, i_id FROM owners, items WHERE o_id = i_owner", 0, true,
+       ""},
+      {"SELECT o_id, i_id FROM owners, items WHERE o_score = ? AND "
+       "i_tag = o_tag ORDER BY i_grp LIMIT ?",
+       0, true, "il"},
+  };
+  RunDifferential(cases, "fresh");
+  if (HasFatalFailure()) return;
+
+  // Deletes punch holes; reinserts reuse the freed slots (new ids, so the
+  // index buckets see both dead and recycled entries).
+  ASSERT_TRUE(db_.Update("DELETE FROM owners WHERE o_score = 1").ok());
+  ASSERT_TRUE(db_.Update("DELETE FROM items WHERE i_grp = 2").ok());
+  for (int64_t o = 24; o < 30; ++o) InsertOwner(o);
+  for (int64_t i = 90; i < 110; ++i) InsertItem(i);
+  RunDifferential(cases, "after deletes and slot reuse");
+  if (HasFatalFailure()) return;
+
+  // Move join values: outer foreign values, and inner UNIQUE tags (freed
+  // by a NULL first so uniqueness holds at every step).
+  for (int k = 0; k < 25; ++k) {
+    const int64_t item = static_cast<int64_t>(rng_.NextBelow(110));
+    ASSERT_TRUE(db_.Update("UPDATE items SET i_owner = " +
+                           std::to_string(rng_.NextBelow(30)) +
+                           " WHERE i_id = " + std::to_string(item))
+                    .ok());
+  }
+  for (int k = 0; k < 10; ++k) {
+    const std::string tag = "'t" + std::to_string(rng_.NextBelow(30)) + "'";
+    ASSERT_TRUE(
+        db_.Update("UPDATE owners SET o_tag = NULL WHERE o_tag = " + tag)
+            .ok());
+    ASSERT_TRUE(db_.Update("UPDATE owners SET o_tag = " + tag +
+                           " WHERE o_id = " +
+                           std::to_string(rng_.NextBelow(30)))
+                    .ok());
+  }
+  RunDifferential(cases, "after join-column updates");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexJoinTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace dssp::engine

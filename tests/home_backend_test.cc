@@ -15,6 +15,7 @@
 #include "catalog/schema.h"
 #include "crypto/keyring.h"
 #include "dssp/protocol.h"
+#include "engine/table.h"
 
 namespace dssp::backend {
 namespace {
@@ -134,6 +135,37 @@ TEST(StatementCacheBehavior, UnmatchedQueryFallsBackToInterpreter) {
   EXPECT_EQ(stats.interpreter_fallback_queries, 1u);
   EXPECT_EQ(stats.program_queries, 0u);
   EXPECT_EQ(stats.statements.misses, 0u);
+}
+
+// ----- Index set -------------------------------------------------------------
+
+TEST(TemplateIndexing, RegistrationIndexesEqualityColumns) {
+  auto backend = MakeBackend();
+  const engine::Table& kv = backend->database().GetTable("kv");
+  const engine::Table& orders = backend->database().GetTable("orders");
+  EXPECT_TRUE(kv.IsIndexed(0));    // PK, probed by both templates.
+  EXPECT_FALSE(kv.IsIndexed(1));   // Only a SET target so far.
+  EXPECT_FALSE(orders.IsIndexed(1));
+  // Before its template exists, `val` is probed by a scan.
+  const auto scanned = Query(*backend, "SELECT id FROM kv WHERE val = 21");
+  ASSERT_TRUE(scanned.ok());
+
+  // A query template on a populated table indexes its live rows at once.
+  ASSERT_TRUE(
+      backend->AddQueryTemplate("SELECT id FROM kv WHERE val = ?").ok());
+  EXPECT_TRUE(kv.IsIndexed(1));
+  const auto probed = Query(*backend, "SELECT id FROM kv WHERE val = 21");
+  ASSERT_TRUE(probed.ok());
+  EXPECT_EQ(*probed, *scanned);  // One match: same bytes either way.
+
+  // Update and delete templates index the columns their WHERE probes.
+  ASSERT_TRUE(
+      backend->AddUpdateTemplate("DELETE FROM orders WHERE total = ?").ok());
+  EXPECT_TRUE(orders.IsIndexed(1));
+  ASSERT_TRUE(backend->AddUpdateTemplate(
+                         "UPDATE orders SET total = ? WHERE oid = ?")
+                  .ok());
+  EXPECT_TRUE(orders.IsIndexed(0));
 }
 
 // ----- Metadata / statistics cache ----------------------------------------
