@@ -83,7 +83,7 @@ void BM_NodeMixedWorkload(benchmark::State& state) {
     const int key = static_cast<int>(rng.NextInt(0, kKeySpace - 1));
     if (op < 90) {
       benchmark::DoNotOptimize(
-          node.Lookup(kApp, "t:" + std::to_string(key)));
+          node.LookupShared(kApp, "t:" + std::to_string(key)));
     } else if (op < 98) {
       node.Store(kApp, TemplateEntry(key, key % 3));
     } else {
@@ -95,8 +95,8 @@ void BM_NodeMixedWorkload(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeMixedWorkload)->ThreadRange(1, 16)->UseRealTime();
 
-// Lookup-only scaling: the pure read path (shard lock + LRU touch + entry
-// copy), the common case for a read-mostly tenant.
+// Lookup-only scaling: the pure read path (shard lock + LRU touch + shared
+// entry handoff), the common case for a read-mostly tenant.
 void BM_NodeLookupOnly(benchmark::State& state) {
   MtSystem& mt = System();
   DsspNode& node = mt.system->node;
@@ -105,7 +105,7 @@ void BM_NodeLookupOnly(benchmark::State& state) {
   for (auto _ : state) {
     const int key = static_cast<int>(rng.NextInt(0, kKeySpace - 1));
     benchmark::DoNotOptimize(
-        node.Lookup(kApp, "t:" + std::to_string(key)));
+        node.LookupShared(kApp, "t:" + std::to_string(key)));
   }
   state.SetItemsProcessed(state.iterations());
 }

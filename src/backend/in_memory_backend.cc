@@ -37,6 +37,9 @@ InMemoryBackend::InMemoryBackend(std::string app_id, crypto::KeyRing keyring,
                                  BackendOptions options)
     : app_id_(std::move(app_id)),
       keyring_(std::move(keyring)),
+      statement_cipher_(keyring_.CipherFor("statement")),
+      parameter_cipher_(keyring_.CipherFor("params")),
+      result_cipher_(keyring_.CipherFor("result")),
       options_(options),
       private_pool_(options.pool),
       metadata_(options.metadata_ttl_s) {}

@@ -78,15 +78,15 @@ class InMemoryBackend : public HomeBackend {
   HomeBackendStats Stats() const override;
 
   // Ciphers (deterministic; shared conceptually with the application's
-  // client-side code, never with the DSSP).
-  crypto::DeterministicCipher statement_cipher() const {
-    return keyring_.CipherFor("statement");
+  // client-side code, never with the DSSP). Derived once, at construction.
+  const crypto::DeterministicCipher& statement_cipher() const {
+    return statement_cipher_;
   }
-  crypto::DeterministicCipher parameter_cipher() const {
-    return keyring_.CipherFor("params");
+  const crypto::DeterministicCipher& parameter_cipher() const {
+    return parameter_cipher_;
   }
-  crypto::DeterministicCipher result_cipher() const {
-    return keyring_.CipherFor("result");
+  const crypto::DeterministicCipher& result_cipher() const {
+    return result_cipher_;
   }
 
   // Count of updates applied (the paper reports per-run update volumes).
@@ -152,6 +152,9 @@ class InMemoryBackend : public HomeBackend {
 
   std::string app_id_;
   crypto::KeyRing keyring_;
+  const crypto::DeterministicCipher statement_cipher_;
+  const crypto::DeterministicCipher parameter_cipher_;
+  const crypto::DeterministicCipher result_cipher_;
   engine::Database database_;
   templates::TemplateSet templates_;
   BackendOptions options_;

@@ -136,20 +136,21 @@ Status ClusterRouter::RegisterApp(std::string app_id,
   return Status::Ok();
 }
 
-std::optional<CacheEntry> ClusterRouter::Lookup(const std::string& app_id,
-                                                const std::string& key) {
+std::shared_ptr<const CacheEntry> ClusterRouter::LookupShared(
+    const std::string& app_id, const std::string& key) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   const std::vector<int> owners = ServableOwners(RouteKey(app_id, key));
   if (owners.empty()) {
     // Whole replica set unservable: miss, the app falls back to its home.
     tls_last_route = RouteInfo{-1, false, false};
-    return std::nullopt;
+    return nullptr;
   }
   for (size_t idx = 0; idx < owners.size(); ++idx) {
     const int node = owners[idx];
     Member& member = *members_[CheckIndex(node)];
-    auto entry = member.node->Lookup(app_id, key);
-    if (!entry.has_value()) continue;
+    std::shared_ptr<const CacheEntry> entry =
+        member.node->LookupShared(app_id, key);
+    if (entry == nullptr) continue;
     member.routed_lookups.fetch_add(1, std::memory_order_relaxed);
     const uint64_t since =
         member.lookups_since_rejoin.fetch_add(1, std::memory_order_relaxed);
@@ -175,7 +176,14 @@ std::optional<CacheEntry> ClusterRouter::Lookup(const std::string& app_id,
     member.warming_lookups.fetch_add(1, std::memory_order_relaxed);
   }
   tls_last_route = RouteInfo{node, false, false};
-  return std::nullopt;
+  return nullptr;
+}
+
+std::optional<CacheEntry> ClusterRouter::Lookup(const std::string& app_id,
+                                                const std::string& key) {
+  const std::shared_ptr<const CacheEntry> entry = LookupShared(app_id, key);
+  if (entry == nullptr) return std::nullopt;
+  return *entry;
 }
 
 std::optional<CacheEntry> ClusterRouter::LookupStale(

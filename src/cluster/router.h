@@ -94,6 +94,8 @@ class ClusterRouter : public service::CacheBackend {
   // ----- CacheBackend (what ScalableApp sees). -----
   Status RegisterApp(std::string app_id, const catalog::Catalog* catalog,
                      const templates::TemplateSet* templates) override;
+  std::shared_ptr<const service::CacheEntry> LookupShared(
+      const std::string& app_id, const std::string& key) override;
   std::optional<service::CacheEntry> Lookup(const std::string& app_id,
                                             const std::string& key) override;
   std::optional<service::CacheEntry> LookupStale(

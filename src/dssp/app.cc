@@ -114,19 +114,19 @@ Status ScalableApp::SetExposure(analysis::ExposureAssignment exposure) {
   return Status::Ok();
 }
 
-std::string ScalableApp::LookupKey(const templates::QueryTemplate& tmpl,
-                                   analysis::ExposureLevel level,
-                                   const sql::Statement& bound,
-                                   const std::vector<sql::Value>& params) const {
+std::string ScalableApp::LookupKey(
+    const templates::QueryTemplate& tmpl, analysis::ExposureLevel level,
+    const std::optional<sql::Statement>& bound,
+    const std::vector<sql::Value>& params) const {
   switch (level) {
     case analysis::ExposureLevel::kView:
     case analysis::ExposureLevel::kStmt:
       // Plaintext statement as key.
-      return "s:" + sql::ToSql(bound);
+      return "s:" + sql::ToSql(*bound);
     case analysis::ExposureLevel::kTemplate: {
       // Template id + deterministically encrypted parameters.
       std::string key = "t:" + tmpl.id();
-      const crypto::DeterministicCipher cipher = home_.parameter_cipher();
+      const crypto::DeterministicCipher& cipher = home_.parameter_cipher();
       for (const sql::Value& param : params) {
         key += "|";
         key += cipher.Encrypt(param.EncodeForKey());
@@ -135,7 +135,7 @@ std::string ScalableApp::LookupKey(const templates::QueryTemplate& tmpl,
     }
     case analysis::ExposureLevel::kBlind:
       // Encrypted full statement.
-      return "b:" + home_.statement_cipher().Encrypt(sql::ToSql(bound));
+      return "b:" + home_.statement_cipher().Encrypt(sql::ToSql(*bound));
   }
   DSSP_UNREACHABLE("bad ExposureLevel");
 }
@@ -153,44 +153,55 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
     return InvalidArgumentError("parameter count mismatch for " + tmpl.id());
   }
   const analysis::ExposureLevel level = exposure_.query_levels[index];
-  const sql::Statement bound = tmpl.Bind(params);
+  // Template-level keys need only the parameters, so the statement is
+  // bound there only when a miss has to send it home.
+  std::optional<sql::Statement> bound;
+  if (level != analysis::ExposureLevel::kTemplate) bound = tmpl.Bind(params);
   const std::string key = LookupKey(tmpl, level, bound, params);
 
   AccessStats local;
   AccessStats& s = stats != nullptr ? *stats : local;
   s = AccessStats{};
 
-  std::optional<CacheEntry> entry = dssp_->Lookup(app_id(), key);
-  std::string blob;
+  // `blob` views the bytes a hit returns: the shared cache entry's, the
+  // home server's response, or a stale entry's. Each owner below outlives
+  // the decryption at the end.
+  const std::shared_ptr<const CacheEntry> entry =
+      dssp_->LookupShared(app_id(), key);
+  std::string fetched;
+  std::optional<CacheEntry> stale;
+  std::string_view blob;
   s.request_bytes = kRequestOverheadBytes + key.size();
-  if (entry.has_value()) {
+  if (entry != nullptr) {
     s.cache_hit = true;
-    blob = std::move(entry->blob);
+    blob = entry->blob;
   } else {
     // Miss: the DSSP forwards the (encrypted) query to the home server as a
     // protocol frame (Figure 2), over the configured wire path.
+    if (!bound.has_value()) bound = tmpl.Bind(params);
     const bool plaintext_result = level == analysis::ExposureLevel::kView;
     const std::string request_frame = Encode(QueryRequest{
-        home_.statement_cipher().Encrypt(sql::ToSql(bound)),
+        home_.statement_cipher().Encrypt(sql::ToSql(*bound)),
         plaintext_result});
     StatusOr<std::string> response_frame = WireCall(request_frame, s);
     if (response_frame.ok()) {
-      DSSP_ASSIGN_OR_RETURN(blob, UnwrapQueryResponse(*response_frame));
+      DSSP_ASSIGN_OR_RETURN(fetched, UnwrapQueryResponse(*response_frame));
+      blob = fetched;
 
       CacheEntry fresh;
       fresh.key = key;
       fresh.level = level;
-      fresh.blob = blob;
+      fresh.blob = fetched;
       if (level != analysis::ExposureLevel::kBlind) {
         fresh.template_index = index;
       }
       if (level == analysis::ExposureLevel::kStmt ||
           level == analysis::ExposureLevel::kView) {
-        fresh.statement = bound;
+        fresh.statement = *bound;
       }
       if (plaintext_result) {
         DSSP_ASSIGN_OR_RETURN(engine::QueryResult plain,
-                              engine::QueryResult::Deserialize(blob));
+                              engine::QueryResult::Deserialize(fetched));
         fresh.result = std::move(plain);
       }
       dssp_->Store(app_id(), std::move(fresh));
@@ -199,7 +210,6 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
       // entry if the policy's staleness bound allows it (not re-cached,
       // counted separately).
       const StatusCode code = response_frame.status().code();
-      std::optional<CacheEntry> stale;
       if (client_ != nullptr && wire_policy_.stale_serve_bound > 0 &&
           (code == StatusCode::kUnavailable ||
            code == StatusCode::kDeadlineExceeded)) {
@@ -209,17 +219,20 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
       if (!stale.has_value()) return response_frame.status();
       s.served_stale = true;
       wire_counters_.stale_serves.fetch_add(1, std::memory_order_relaxed);
-      blob = std::move(stale->blob);
+      blob = stale->blob;
     }
   }
 
   s.response_bytes = kRequestOverheadBytes + blob.size();
 
-  // Client-side decryption of the blob.
-  const std::string serialized =
-      level == analysis::ExposureLevel::kView
-          ? blob
-          : home_.result_cipher().Decrypt(blob);
+  // Client-side decryption of the blob; a view-level blob is already the
+  // plaintext serialization.
+  std::string decrypted;
+  std::string_view serialized = blob;
+  if (level != analysis::ExposureLevel::kView) {
+    decrypted = home_.result_cipher().Decrypt(blob);
+    serialized = decrypted;
+  }
   DSSP_ASSIGN_OR_RETURN(engine::QueryResult result,
                         engine::QueryResult::Deserialize(serialized));
   s.result_rows = result.num_rows();

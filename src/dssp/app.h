@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -135,9 +136,10 @@ class ScalableApp {
 
  private:
   // Exposure-dependent cache key (Section 2.2, footnote 3).
+  // `bound` may be empty at template level, whose key needs only `params`.
   std::string LookupKey(const templates::QueryTemplate& tmpl,
                         analysis::ExposureLevel level,
-                        const sql::Statement& bound,
+                        const std::optional<sql::Statement>& bound,
                         const std::vector<sql::Value>& params) const;
 
   // Sends one request frame over the configured wire path, retrying when

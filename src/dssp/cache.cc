@@ -26,7 +26,7 @@ std::vector<std::string> AllGroupKeys(const ValueKeyMap& by_value,
 void QueryCache::RemoveLocked(
     Shard& shard, std::unordered_map<std::string, Stored>::iterator it,
     bool retain_stale) {
-  const auto group_it = shard.groups.find(it->second.entry.template_index);
+  const auto group_it = shard.groups.find(it->second.entry->template_index);
   if (group_it != shard.groups.end()) {
     Group& group = group_it->second;
     if (it->second.index_key.has_value()) {
@@ -46,18 +46,18 @@ void QueryCache::RemoveLocked(
   size_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void QueryCache::RetainStale(CacheEntry entry) {
+void QueryCache::RetainStale(std::shared_ptr<const CacheEntry> entry) {
   if (stale_capacity_.load(std::memory_order_relaxed) == 0) return;
   MutexLock lock(stale_mu_);
   const size_t cap = stale_capacity_.load(std::memory_order_relaxed);
   if (cap == 0) return;
-  const auto it = stale_.find(entry.key);
+  const auto it = stale_.find(entry->key);
   if (it != stale_.end()) {
     stale_fifo_.erase(it->second.fifo_position);
     stale_.erase(it);
   }
-  stale_fifo_.push_back(entry.key);
-  std::string key = entry.key;
+  stale_fifo_.push_back(entry->key);
+  std::string key = entry->key;
   stale_.emplace(std::move(key),
                  StaleStored{std::move(entry),
                              update_epoch_.load(std::memory_order_relaxed),
@@ -82,13 +82,13 @@ size_t QueryCache::StaleSize() const {
   return stale_.size();
 }
 
-std::optional<CacheEntry> QueryCache::LookupStale(
+std::shared_ptr<const CacheEntry> QueryCache::LookupStale(
     const std::string& key, uint64_t max_updates_behind) const {
   const uint64_t now = update_epoch_.load(std::memory_order_relaxed);
   MutexLock lock(stale_mu_);
   const auto it = stale_.find(key);
-  if (it == stale_.end()) return std::nullopt;
-  if (now - it->second.epoch > max_updates_behind) return std::nullopt;
+  if (it == stale_.end()) return nullptr;
+  if (now - it->second.epoch > max_updates_behind) return nullptr;
   return it->second.entry;
 }
 
@@ -109,7 +109,7 @@ void QueryCache::EvictToCapacity(std::atomic<uint64_t>& counter) {
     uint64_t oldest = 0;
     for (Shard& shard : shards_) {
       if (shard.lru.empty()) continue;
-      const auto it = shard.entries.find(shard.lru.back());
+      const auto it = shard.entries.find(*shard.lru.back());
       DSSP_CHECK(it != shard.entries.end());
       if (victim_shard == nullptr || it->second.tick < oldest) {
         victim_shard = &shard;
@@ -118,7 +118,7 @@ void QueryCache::EvictToCapacity(std::atomic<uint64_t>& counter) {
     }
     DSSP_CHECK(victim_shard != nullptr);
     RemoveLocked(*victim_shard,
-                 victim_shard->entries.find(victim_shard->lru.back()));
+                 victim_shard->entries.find(*victim_shard->lru.back()));
     counter.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -128,29 +128,26 @@ void QueryCache::SetCapacity(size_t max_entries) {
   EvictToCapacity(shrink_evictions_);
 }
 
-std::optional<CacheEntry> QueryCache::Lookup(const std::string& key) {
+std::shared_ptr<const CacheEntry> QueryCache::Lookup(const std::string& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return std::nullopt;
+  if (it == shard.entries.end()) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_position);
   it->second.tick = NextTick();
   return it->second.entry;
 }
 
-std::optional<CacheEntry> QueryCache::Peek(const std::string& key) const {
-  const Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return std::nullopt;
-  return it->second.entry;
-}
-
 void QueryCache::Insert(CacheEntry entry) {
-  Shard& shard = ShardFor(entry.key);
+  // Allocated before the shard lock is taken; from here on the entry is
+  // immutable and shared with every lookup that returns it.
+  std::shared_ptr<const CacheEntry> stored =
+      std::make_shared<const CacheEntry>(std::move(entry));
+  const CacheEntry& fresh = *stored;
+  Shard& shard = ShardFor(fresh.key);
   {
     MutexLock lock(shard.mu);
-    const auto it = shard.entries.find(entry.key);
+    const auto it = shard.entries.find(fresh.key);
     if (it != shard.entries.end()) RemoveLocked(shard, it);
     // Index statement-exposed entries under their discriminator bound. Only
     // stmt/view levels qualify: their per-entry decision is the compiled
@@ -158,30 +155,29 @@ void QueryCache::Insert(CacheEntry entry) {
     // decided at template level and must stay in the always-visited rest.
     std::optional<sql::Value> index_key;
     const ViewIndexPlan* index = view_index_.load(std::memory_order_acquire);
-    if (index != nullptr && entry.template_index != CacheEntry::kNoTemplate &&
-        entry.statement.has_value() &&
-        (entry.level == analysis::ExposureLevel::kStmt ||
-         entry.level == analysis::ExposureLevel::kView)) {
-      index_key = index->IndexKeyFor(entry.template_index, *entry.statement);
+    if (index != nullptr && fresh.template_index != CacheEntry::kNoTemplate &&
+        fresh.statement.has_value() &&
+        (fresh.level == analysis::ExposureLevel::kStmt ||
+         fresh.level == analysis::ExposureLevel::kView)) {
+      index_key = index->IndexKeyFor(fresh.template_index, *fresh.statement);
     }
-    Group& group = shard.groups[entry.template_index];
+    Group& group = shard.groups[fresh.template_index];
     if (index_key.has_value()) {
-      group.by_value[*index_key].insert(entry.key);
+      group.by_value[*index_key].insert(fresh.key);
     } else {
-      group.rest.insert(entry.key);
+      group.rest.insert(fresh.key);
     }
-    shard.lru.push_front(entry.key);
-    std::string key = entry.key;
-    shard.entries.emplace(
-        std::move(key),
-        Stored{std::move(entry), shard.lru.begin(), NextTick(),
-               std::move(index_key)});
+    const auto [slot, inserted] = shard.entries.emplace(
+        fresh.key, Stored{std::move(stored), {}, NextTick(),
+                          std::move(index_key)});
+    DSSP_CHECK(inserted);
+    shard.lru.push_front(&slot->first);
+    slot->second.lru_position = shard.lru.begin();
     size_.fetch_add(1, std::memory_order_relaxed);
     // A fresh entry supersedes any stale copy retained for this key.
     if (stale_capacity_.load(std::memory_order_relaxed) != 0) {
-      const std::string& fresh_key = shard.lru.front();
       MutexLock stale_lock(stale_mu_);
-      const auto stale_it = stale_.find(fresh_key);
+      const auto stale_it = stale_.find(fresh.key);
       if (stale_it != stale_.end()) {
         stale_fifo_.erase(stale_it->second.fifo_position);
         stale_.erase(stale_it);
@@ -260,7 +256,7 @@ size_t QueryCache::InvalidateEntries(
       for (const std::string& key : keys) {
         const auto it = shard.entries.find(key);
         DSSP_CHECK(it != shard.entries.end());
-        if (should_invalidate(it->second.entry)) {
+        if (should_invalidate(*it->second.entry)) {
           RemoveLocked(shard, it, /*retain_stale=*/true);
           ++invalidated;
         }

@@ -7,6 +7,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -96,12 +97,12 @@ class QueryCache {
     return invalidation_removals_.load(std::memory_order_relaxed);
   }
 
-  // Returns a copy of the entry with `key`, or nullopt. A hit refreshes the
-  // entry's LRU position.
-  std::optional<CacheEntry> Lookup(const std::string& key);
-
-  // Like Lookup but without the LRU side effect; for introspection.
-  std::optional<CacheEntry> Peek(const std::string& key) const;
+  // Returns the entry with `key`, or null. A hit refreshes the entry's LRU
+  // position. Entries are immutable once inserted and shared, not copied:
+  // an overwrite, invalidation, eviction or Clear drops the cache's
+  // reference, and the caller's pointer keeps the old entry alive and
+  // unchanged.
+  std::shared_ptr<const CacheEntry> Lookup(const std::string& key);
 
   // Inserts or overwrites, evicting the least-recently-used entries if the
   // cache is at capacity.
@@ -182,14 +183,15 @@ class QueryCache {
   }
 
   // Returns the retained entry for `key` if it is at most
-  // `max_updates_behind` epochs old (which is >= 1 for anything retained).
-  std::optional<CacheEntry> LookupStale(const std::string& key,
-                                        uint64_t max_updates_behind) const;
+  // `max_updates_behind` epochs old (which is >= 1 for anything retained),
+  // or null.
+  std::shared_ptr<const CacheEntry> LookupStale(
+      const std::string& key, uint64_t max_updates_behind) const;
 
  private:
   struct Stored {
-    CacheEntry entry;
-    std::list<std::string>::iterator lru_position;
+    std::shared_ptr<const CacheEntry> entry;
+    std::list<const std::string*>::iterator lru_position;
     // Global last-access time; strictly increasing across the whole cache,
     // so each shard's LRU list is sorted by tick (front = newest) and the
     // global LRU victim is the smallest tail tick over all shards.
@@ -215,8 +217,9 @@ class QueryCache {
     mutable Mutex mu;
     std::unordered_map<std::string, Stored> entries DSSP_GUARDED_BY(mu);
     std::map<size_t, Group> groups DSSP_GUARDED_BY(mu);
-    // Most-recently-used at the front.
-    std::list<std::string> lru DSSP_GUARDED_BY(mu);
+    // Most-recently-used at the front. Points at the keys of `entries`,
+    // which stay put until their element is erased.
+    std::list<const std::string*> lru DSSP_GUARDED_BY(mu);
   };
 
   Shard& ShardFor(const std::string& key) {
@@ -236,8 +239,8 @@ class QueryCache {
                     bool retain_stale = false) DSSP_REQUIRES(shard.mu);
 
   // Stashes an invalidated entry into the bounded stale store (no-op when
-  // retention is off).
-  void RetainStale(CacheEntry entry);
+  // retention is off). The store shares the entry; it never copies it.
+  void RetainStale(std::shared_ptr<const CacheEntry> entry);
 
   // Evicts globally least-recently-used entries until size() <= capacity,
   // charging them to `counter`. Takes all shard locks (in index order) via a
@@ -247,7 +250,7 @@ class QueryCache {
       DSSP_NO_THREAD_SAFETY_ANALYSIS;
 
   struct StaleStored {
-    CacheEntry entry;
+    std::shared_ptr<const CacheEntry> entry;
     uint64_t epoch = 0;  // update_epoch_ when the entry was invalidated.
     std::list<std::string>::iterator fifo_position;
   };

@@ -87,18 +87,32 @@ const DsspNode::AppState* DsspNode::FindApp(std::string_view app_id) const {
   return it == apps_.end() ? nullptr : &it->second;
 }
 
-std::optional<CacheEntry> DsspNode::Lookup(const std::string& app_id,
-                                           const std::string& key) {
+std::shared_ptr<const CacheEntry> CacheBackend::LookupShared(
+    const std::string& app_id, const std::string& key) {
+  std::optional<CacheEntry> entry = Lookup(app_id, key);
+  if (!entry.has_value()) return nullptr;
+  return std::make_shared<const CacheEntry>(std::move(*entry));
+}
+
+std::shared_ptr<const CacheEntry> DsspNode::LookupShared(
+    const std::string& app_id, const std::string& key) {
   AppState* app = FindApp(app_id);
-  if (app == nullptr) return std::nullopt;
+  if (app == nullptr) return nullptr;
   app->stats.lookups.fetch_add(1, std::memory_order_relaxed);
-  std::optional<CacheEntry> entry = app->cache.Lookup(key);
-  if (entry.has_value()) {
+  std::shared_ptr<const CacheEntry> entry = app->cache.Lookup(key);
+  if (entry != nullptr) {
     app->stats.hits.fetch_add(1, std::memory_order_relaxed);
   } else {
     app->stats.misses.fetch_add(1, std::memory_order_relaxed);
   }
   return entry;
+}
+
+std::optional<CacheEntry> DsspNode::Lookup(const std::string& app_id,
+                                           const std::string& key) {
+  const std::shared_ptr<const CacheEntry> entry = LookupShared(app_id, key);
+  if (entry == nullptr) return std::nullopt;
+  return *entry;
 }
 
 std::optional<CacheEntry> DsspNode::LookupStale(const std::string& app_id,
@@ -109,14 +123,14 @@ std::optional<CacheEntry> DsspNode::LookupStale(const std::string& app_id,
   // Degraded-mode requests are still lookups: counting the hit without the
   // lookup (or dropping the miss) would inflate the reported hit rate.
   app->stats.lookups.fetch_add(1, std::memory_order_relaxed);
-  std::optional<CacheEntry> entry =
+  const std::shared_ptr<const CacheEntry> entry =
       app->cache.LookupStale(key, max_updates_behind);
-  if (entry.has_value()) {
-    app->stats.stale_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  if (entry == nullptr) {
     app->stats.misses.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
   }
-  return entry;
+  app->stats.stale_hits.fetch_add(1, std::memory_order_relaxed);
+  return *entry;
 }
 
 void DsspNode::SetStaleRetention(const std::string& app_id,

@@ -84,6 +84,12 @@ class CacheBackend {
                              const templates::TemplateSet* templates) = 0;
   virtual std::optional<CacheEntry> Lookup(const std::string& app_id,
                                            const std::string& key) = 0;
+  // The hit path ScalableApp uses: the cached entry itself, shared rather
+  // than copied, or null on a miss. The default wraps Lookup (one copy),
+  // so a decorator that overrides only Lookup still sees every lookup;
+  // DsspNode and ClusterRouter override it to share the cached entry.
+  virtual std::shared_ptr<const CacheEntry> LookupShared(
+      const std::string& app_id, const std::string& key);
   virtual std::optional<CacheEntry> LookupStale(
       const std::string& app_id, const std::string& key,
       uint64_t max_updates_behind) = 0;
@@ -133,9 +139,13 @@ class DsspNode : public CacheBackend {
 
   bool HasApp(std::string_view app_id) const;
 
-  // Cache operations for one application. Lookup returns a copy of the
-  // entry (a pointer into the cache would dangle under concurrent
-  // invalidation); unknown app ids miss.
+  // Cache operations for one application; unknown app ids miss.
+  // LookupShared returns the cached entry itself: entries are immutable and
+  // reference-counted, so the pointer stays valid and unchanged even if a
+  // concurrent invalidation, overwrite or eviction drops the entry from
+  // the cache. Lookup is LookupShared plus one copy.
+  std::shared_ptr<const CacheEntry> LookupShared(
+      const std::string& app_id, const std::string& key) override;
   std::optional<CacheEntry> Lookup(const std::string& app_id,
                                    const std::string& key) override;
   void Store(const std::string& app_id, CacheEntry entry) override;

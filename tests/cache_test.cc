@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,33 +34,56 @@ size_t InvalidateGroup(QueryCache& cache, size_t group) {
                                  [](const CacheEntry&) { return true; });
 }
 
-// Cross-checks the cache's own bookkeeping: every group entry key must be
-// peekable, and the group index must account for exactly size() entries.
-void ExpectConsistent(const QueryCache& cache) {
+// Whether the group index holds `key`. Unlike Lookup, this leaves the LRU
+// order alone.
+bool Holds(const QueryCache& cache, const std::string& key) {
+  for (size_t group : cache.GroupKeys()) {
+    const std::vector<std::string> keys = cache.GroupEntryKeys(group);
+    if (std::binary_search(keys.begin(), keys.end(), key)) return true;
+  }
+  return false;
+}
+
+// Cross-checks the cache's own bookkeeping: the group index must account for
+// exactly size() entries, and every indexed entry must exist and belong to
+// its group. The entries are visited by an InvalidateEntries pass that
+// declines them all, which leaves the LRU order alone (the pass aborts on an
+// indexed key that has no entry).
+void ExpectConsistent(QueryCache& cache) {
   size_t indexed = 0;
   for (size_t group : cache.GroupKeys()) {
     const std::vector<std::string> keys = cache.GroupEntryKeys(group);
     EXPECT_FALSE(keys.empty()) << "empty group " << group << " in index";
-    for (const std::string& key : keys) {
-      const std::optional<CacheEntry> entry = cache.Peek(key);
-      ASSERT_TRUE(entry.has_value()) << "indexed key missing: " << key;
-      EXPECT_EQ(entry->template_index, group);
-    }
     indexed += keys.size();
   }
   EXPECT_EQ(indexed, cache.size());
+  size_t current_group = 0;
+  size_t visited = 0;
+  const uint64_t removals = cache.invalidation_removals();
+  cache.InvalidateEntries(
+      [&current_group](size_t group) {
+        current_group = group;
+        return true;
+      },
+      [&](const CacheEntry& entry) {
+        EXPECT_EQ(entry.template_index, current_group) << entry.key;
+        ++visited;
+        return false;
+      });
+  EXPECT_EQ(visited, cache.size());
+  EXPECT_EQ(cache.invalidation_removals(), removals);
 }
 
 TEST(QueryCacheTest, InsertLookupInvalidate) {
   QueryCache cache;
   cache.Insert(Entry("k1", 0));
   EXPECT_EQ(cache.size(), 1u);
-  const std::optional<CacheEntry> found = cache.Lookup("k1");
-  ASSERT_TRUE(found.has_value());
+  const std::shared_ptr<const CacheEntry> found = cache.Lookup("k1");
+  ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->blob, "blob:k1");
-  EXPECT_FALSE(cache.Lookup("k2").has_value());
+  EXPECT_EQ(cache.Lookup("k2"), nullptr);
   EXPECT_EQ(InvalidateKey(cache, "k1"), 1u);
-  EXPECT_FALSE(cache.Lookup("k1").has_value());
+  EXPECT_EQ(cache.Lookup("k1"), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -111,8 +135,8 @@ TEST(QueryCacheTest, InvalidateWholeGroup) {
   cache.Insert(Entry("b1", 1));
   EXPECT_EQ(InvalidateGroup(cache, 0), 2u);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(cache.Lookup("a1").has_value());
-  EXPECT_TRUE(cache.Lookup("b1").has_value());
+  EXPECT_EQ(cache.Lookup("a1"), nullptr);
+  EXPECT_NE(cache.Lookup("b1"), nullptr);
   EXPECT_EQ(InvalidateGroup(cache, 0), 0u);
   ExpectConsistent(cache);
 }
@@ -128,18 +152,6 @@ TEST(QueryCacheTest, Clear) {
   EXPECT_EQ(cache.invalidation_removals(), 0u);
 }
 
-TEST(QueryCacheTest, PeekDoesNotTouchLru) {
-  QueryCache cache;
-  cache.SetCapacity(2);
-  cache.Insert(Entry("old", 0));
-  cache.Insert(Entry("new", 0));
-  // Peek must not rescue "old" from eviction.
-  EXPECT_TRUE(cache.Peek("old").has_value());
-  cache.Insert(Entry("newest", 0));
-  EXPECT_FALSE(cache.Peek("old").has_value());
-  EXPECT_TRUE(cache.Peek("new").has_value());
-}
-
 TEST(QueryCacheTest, LruEvictionOrder) {
   QueryCache cache;
   cache.SetCapacity(3);
@@ -147,11 +159,11 @@ TEST(QueryCacheTest, LruEvictionOrder) {
   cache.Insert(Entry("b", 0));
   cache.Insert(Entry("c", 1));
   // Touch "a": it becomes most recent; "b" is now the LRU victim.
-  EXPECT_TRUE(cache.Lookup("a").has_value());
+  EXPECT_NE(cache.Lookup("a"), nullptr);
   cache.Insert(Entry("d", 1));
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_FALSE(cache.Peek("b").has_value());
-  EXPECT_TRUE(cache.Peek("a").has_value());
+  EXPECT_FALSE(Holds(cache, "b"));
+  EXPECT_TRUE(Holds(cache, "a"));
   EXPECT_EQ(cache.evictions(), 1u);
   // Group index stays consistent with the eviction.
   EXPECT_EQ(cache.GroupEntryKeys(0).size(), 1u);
@@ -168,7 +180,7 @@ TEST(QueryCacheTest, ShrinkingCapacityEvictsImmediately) {
   EXPECT_EQ(cache.evictions(), 6u);
   // The four most recent survive.
   for (int i = 6; i < 10; ++i) {
-    EXPECT_TRUE(cache.Peek("k" + std::to_string(i)).has_value()) << i;
+    EXPECT_TRUE(Holds(cache, "k" + std::to_string(i))) << i;
   }
 }
 
@@ -195,7 +207,7 @@ TEST(QueryCacheTest, GroupInvalidationMaintainsLru) {
   cache.Insert(Entry("e", 1));
   cache.Insert(Entry("f", 1));
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_FALSE(cache.Peek("b").has_value());
+  EXPECT_FALSE(Holds(cache, "b"));
 }
 
 // Regression: capacity-shrink evictions and insert-overflow evictions used
@@ -234,9 +246,9 @@ TEST(QueryCacheTest, InvalidateEntriesFiltersGroupsThenEntries) {
       [](const CacheEntry& entry) { return entry.key != "b2"; });
   EXPECT_EQ(erased, 1u);
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_FALSE(cache.Peek("b1").has_value());
-  EXPECT_TRUE(cache.Peek("b2").has_value());
-  EXPECT_TRUE(cache.Peek("a1").has_value());
+  EXPECT_FALSE(Holds(cache, "b1"));
+  EXPECT_TRUE(Holds(cache, "b2"));
+  EXPECT_TRUE(Holds(cache, "a1"));
   EXPECT_EQ(cache.invalidation_removals(), 1u);
   ExpectConsistent(cache);
 }
@@ -280,7 +292,7 @@ TEST(StaleStoreTest, RetentionOffByDefault) {
   cache.Insert(Entry("k", 0));
   InvalidateKey(cache, "k");
   EXPECT_EQ(cache.StaleSize(), 0u);
-  EXPECT_FALSE(cache.LookupStale("k", 100).has_value());
+  EXPECT_EQ(cache.LookupStale("k", 100), nullptr);
 }
 
 TEST(StaleStoreTest, InvalidationRetainsAndKStalenessAges) {
@@ -290,16 +302,16 @@ TEST(StaleStoreTest, InvalidationRetainsAndKStalenessAges) {
   InvalidateKey(cache, "k");  // Consistency removal: retained at epoch 0.
   cache.BumpUpdateEpoch();  // The update that killed it: now 1 behind.
 
-  ASSERT_TRUE(cache.LookupStale("k", 1).has_value());
+  ASSERT_NE(cache.LookupStale("k", 1), nullptr);
   EXPECT_EQ(cache.LookupStale("k", 1)->blob, "blob:k");
-  EXPECT_FALSE(cache.LookupStale("k", 0).has_value());
+  EXPECT_EQ(cache.LookupStale("k", 0), nullptr);
 
   // Each further observed update ages the copy by one epoch; a bound of k
   // serves it until it is k+1 updates behind.
   cache.BumpUpdateEpoch();
   cache.BumpUpdateEpoch();
-  EXPECT_FALSE(cache.LookupStale("k", 2).has_value());
-  ASSERT_TRUE(cache.LookupStale("k", 3).has_value());
+  EXPECT_EQ(cache.LookupStale("k", 2), nullptr);
+  ASSERT_NE(cache.LookupStale("k", 3), nullptr);
 }
 
 TEST(StaleStoreTest, GroupAndFilteredInvalidationRetain) {
@@ -316,12 +328,12 @@ TEST(StaleStoreTest, GroupAndFilteredInvalidationRetain) {
                           });
   cache.BumpUpdateEpoch();
   EXPECT_EQ(cache.StaleSize(), 3u);
-  EXPECT_TRUE(cache.LookupStale("g0-a", 1).has_value());
-  EXPECT_TRUE(cache.LookupStale("g0-b", 1).has_value());
-  EXPECT_TRUE(cache.LookupStale("g1-a", 1).has_value());
+  EXPECT_NE(cache.LookupStale("g0-a", 1), nullptr);
+  EXPECT_NE(cache.LookupStale("g0-b", 1), nullptr);
+  EXPECT_NE(cache.LookupStale("g1-a", 1), nullptr);
   // The entry the filter declined stays live and is not retained.
-  EXPECT_TRUE(cache.Peek("g1-b").has_value());
-  EXPECT_FALSE(cache.LookupStale("g1-b", 1).has_value());
+  EXPECT_TRUE(Holds(cache, "g1-b"));
+  EXPECT_EQ(cache.LookupStale("g1-b", 1), nullptr);
 }
 
 TEST(StaleStoreTest, CapacityEvictionsAreNotRetained) {
@@ -332,11 +344,11 @@ TEST(StaleStoreTest, CapacityEvictionsAreNotRetained) {
   cache.Insert(Entry("b", 0));
   cache.Insert(Entry("c", 0));  // Insert-overflow evicts "a".
   ASSERT_EQ(cache.insert_evictions(), 1u);
-  EXPECT_FALSE(cache.LookupStale("a", 100).has_value());
+  EXPECT_EQ(cache.LookupStale("a", 100), nullptr);
 
   cache.SetCapacity(1);  // Shrink evicts "b".
   ASSERT_EQ(cache.shrink_evictions(), 1u);
-  EXPECT_FALSE(cache.LookupStale("b", 100).has_value());
+  EXPECT_EQ(cache.LookupStale("b", 100), nullptr);
   EXPECT_EQ(cache.StaleSize(), 0u);
 
   // An eviction victim that was ALSO invalidated earlier keeps only the
@@ -345,7 +357,7 @@ TEST(StaleStoreTest, CapacityEvictionsAreNotRetained) {
   cache.Insert(Entry("d", 0));
   InvalidateKey(cache, "d");
   cache.BumpUpdateEpoch();
-  EXPECT_TRUE(cache.LookupStale("d", 1).has_value());
+  EXPECT_NE(cache.LookupStale("d", 1), nullptr);
 }
 
 TEST(StaleStoreTest, FifoBoundDropsOldestRetained) {
@@ -356,15 +368,15 @@ TEST(StaleStoreTest, FifoBoundDropsOldestRetained) {
     InvalidateKey(cache, key);
   }
   EXPECT_EQ(cache.StaleSize(), 2u);
-  EXPECT_FALSE(cache.LookupStale("a", 100).has_value());  // Oldest dropped.
-  EXPECT_TRUE(cache.LookupStale("b", 100).has_value());
-  EXPECT_TRUE(cache.LookupStale("c", 100).has_value());
+  EXPECT_EQ(cache.LookupStale("a", 100), nullptr);  // Oldest dropped.
+  EXPECT_NE(cache.LookupStale("b", 100), nullptr);
+  EXPECT_NE(cache.LookupStale("c", 100), nullptr);
 
   // Re-invalidating a retained key refreshes its FIFO slot, not a new one.
   cache.Insert(Entry("b", 0));
   InvalidateKey(cache, "b");
   EXPECT_EQ(cache.StaleSize(), 2u);
-  EXPECT_TRUE(cache.LookupStale("c", 100).has_value());
+  EXPECT_NE(cache.LookupStale("c", 100), nullptr);
 }
 
 TEST(StaleStoreTest, FreshInsertSupersedesStaleCopy) {
@@ -372,7 +384,7 @@ TEST(StaleStoreTest, FreshInsertSupersedesStaleCopy) {
   cache.SetStaleRetention(8);
   cache.Insert(Entry("k", 0));
   InvalidateKey(cache, "k");
-  ASSERT_TRUE(cache.LookupStale("k", 100).has_value());
+  ASSERT_NE(cache.LookupStale("k", 100), nullptr);
 
   // A fresh value for the key arrives: the stale copy must die with it —
   // serving it later would resurrect a value older than one the client
@@ -380,13 +392,13 @@ TEST(StaleStoreTest, FreshInsertSupersedesStaleCopy) {
   CacheEntry fresh = Entry("k", 0);
   fresh.blob = "fresh";
   cache.Insert(fresh);
-  EXPECT_FALSE(cache.LookupStale("k", 100).has_value());
+  EXPECT_EQ(cache.LookupStale("k", 100), nullptr);
   EXPECT_EQ(cache.StaleSize(), 0u);
 
   // And invalidating the fresh value retains the NEW blob, not the old one.
   InvalidateKey(cache, "k");
   cache.BumpUpdateEpoch();
-  ASSERT_TRUE(cache.LookupStale("k", 1).has_value());
+  ASSERT_NE(cache.LookupStale("k", 1), nullptr);
   EXPECT_EQ(cache.LookupStale("k", 1)->blob, "fresh");
 }
 
@@ -398,7 +410,7 @@ TEST(StaleStoreTest, DisablingRetentionAndClearDropEverything) {
   ASSERT_EQ(cache.StaleSize(), 1u);
   cache.SetStaleRetention(0);
   EXPECT_EQ(cache.StaleSize(), 0u);
-  EXPECT_FALSE(cache.LookupStale("a", 100).has_value());
+  EXPECT_EQ(cache.LookupStale("a", 100), nullptr);
 
   cache.SetStaleRetention(8);
   cache.Insert(Entry("b", 0));
@@ -408,7 +420,7 @@ TEST(StaleStoreTest, DisablingRetentionAndClearDropEverything) {
   // Clear is an administrative reset: live entries AND stale copies go.
   cache.Clear();
   EXPECT_EQ(cache.StaleSize(), 0u);
-  EXPECT_FALSE(cache.LookupStale("b", 100).has_value());
+  EXPECT_EQ(cache.LookupStale("b", 100), nullptr);
 }
 
 TEST(StaleStoreTest, ShrinkingRetentionTrimsOldestFirst) {
@@ -422,9 +434,9 @@ TEST(StaleStoreTest, ShrinkingRetentionTrimsOldestFirst) {
   ASSERT_EQ(cache.StaleSize(), 5u);
   cache.SetStaleRetention(2);
   EXPECT_EQ(cache.StaleSize(), 2u);
-  EXPECT_TRUE(cache.LookupStale("k3", 100).has_value());
-  EXPECT_TRUE(cache.LookupStale("k4", 100).has_value());
-  EXPECT_FALSE(cache.LookupStale("k2", 100).has_value());
+  EXPECT_NE(cache.LookupStale("k3", 100), nullptr);
+  EXPECT_NE(cache.LookupStale("k4", 100), nullptr);
+  EXPECT_EQ(cache.LookupStale("k2", 100), nullptr);
 }
 
 TEST(QueryCacheTest, OverwriteAtCapacityDoesNotEvict) {
@@ -436,9 +448,95 @@ TEST(QueryCacheTest, OverwriteAtCapacityDoesNotEvict) {
   cache.Insert(Entry("a", 1));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_TRUE(cache.Peek("a").has_value());
-  EXPECT_TRUE(cache.Peek("b").has_value());
+  EXPECT_TRUE(Holds(cache, "a"));
+  EXPECT_TRUE(Holds(cache, "b"));
   ExpectConsistent(cache);
+}
+
+// ----- Shared entries: Lookup hands out the cached entry itself. -----
+
+// An entry whose blob lives on the heap, so a dangling pointer would read
+// freed memory rather than a copy in the pointer's own storage.
+CacheEntry HeapEntry(const std::string& key, size_t template_index,
+                     const std::string& version) {
+  CacheEntry entry = Entry(key, template_index);
+  entry.blob = key + ":" + version + ":" + std::string(100, 'x');
+  return entry;
+}
+
+void ExpectHeld(const std::shared_ptr<const CacheEntry>& held,
+                const std::string& key, size_t template_index,
+                const std::string& version) {
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(held->key, key);
+  EXPECT_EQ(held->template_index, template_index);
+  EXPECT_EQ(held->blob, HeapEntry(key, template_index, version).blob);
+}
+
+TEST(SharedEntryTest, LookupsShareOneEntry) {
+  QueryCache cache;
+  cache.Insert(HeapEntry("k", 0, "v0"));
+  const std::shared_ptr<const CacheEntry> first = cache.Lookup("k");
+  const std::shared_ptr<const CacheEntry> second = cache.Lookup("k");
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(cache.Lookup("missing"), nullptr);
+}
+
+TEST(SharedEntryTest, HeldEntrySurvivesOverwrite) {
+  QueryCache cache;
+  cache.Insert(HeapEntry("k", 0, "v0"));
+  const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
+  cache.Insert(HeapEntry("k", 1, "v1"));
+  ExpectHeld(held, "k", 0, "v0");
+  ExpectHeld(cache.Lookup("k"), "k", 1, "v1");
+  ExpectConsistent(cache);
+}
+
+TEST(SharedEntryTest, HeldEntrySurvivesInvalidation) {
+  QueryCache cache;
+  cache.Insert(HeapEntry("k", 0, "v0"));
+  const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
+  EXPECT_EQ(InvalidateKey(cache, "k"), 1u);
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
+  ExpectHeld(held, "k", 0, "v0");
+}
+
+TEST(SharedEntryTest, HeldEntrySurvivesCapacityEviction) {
+  QueryCache cache;
+  cache.SetCapacity(1);
+  cache.Insert(HeapEntry("k", 0, "v0"));
+  const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
+  cache.Insert(HeapEntry("other", 0, "v0"));
+  ASSERT_EQ(cache.insert_evictions(), 1u);
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
+  ExpectHeld(held, "k", 0, "v0");
+}
+
+TEST(SharedEntryTest, HeldEntrySurvivesClear) {
+  QueryCache cache;
+  cache.SetStaleRetention(4);
+  cache.Insert(HeapEntry("k", 0, "v0"));
+  const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
+  EXPECT_EQ(cache.Clear(), 1u);
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
+  ExpectHeld(held, "k", 0, "v0");
+}
+
+// The stale side store keeps the invalidated entry itself, not a copy; a
+// fresh insert drops the store's reference but not a holder's.
+TEST(SharedEntryTest, StaleStoreSharesTheInvalidatedEntry) {
+  QueryCache cache;
+  cache.SetStaleRetention(4);
+  cache.Insert(HeapEntry("k", 0, "v0"));
+  const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
+  InvalidateKey(cache, "k");
+  cache.BumpUpdateEpoch();
+  const std::shared_ptr<const CacheEntry> stale = cache.LookupStale("k", 1);
+  EXPECT_EQ(stale.get(), held.get());
+  cache.Insert(HeapEntry("k", 0, "v1"));
+  EXPECT_EQ(cache.LookupStale("k", 1), nullptr);
+  ExpectHeld(stale, "k", 0, "v0");
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "crypto/keyring.h"
@@ -190,6 +192,78 @@ TEST_F(NodeConcurrencyTest, MixedTrafficAcrossTenantsIsConsistent) {
   EXPECT_FALSE(node_.Lookup("tenant-a", probed.key).has_value());
 }
 
+// Readers hold the entries LookupShared returns while a writer invalidates,
+// clears and re-stores the same keys. A held entry must stay intact and
+// unchanged: the cache only drops its reference, never frees or rewrites an
+// entry someone still holds (TSan and ASan check the memory side).
+TEST_F(NodeConcurrencyTest, HeldEntriesSurviveInvalidationAndRestore) {
+  constexpr int kKeys = 32;
+  constexpr int kRounds = 200;
+  constexpr int kReaders = 3;
+  constexpr size_t kHeldPerReader = 64;
+  const std::string tenant = "tenant-a";
+  const templates::TemplateSet& templates = apps_[0]->templates();
+  node_.SetStaleRetention(tenant, 16);
+  const auto key_of = [](int k) { return "held:k" + std::to_string(k); };
+  // Long enough to live on the heap, and distinct per (key, version).
+  const auto make = [&](int k, int version) {
+    CacheEntry entry = StmtEntry(templates, key_of(k), k);
+    entry.blob = key_of(k) + ":v" + std::to_string(version) + ":" +
+                 std::string(200, static_cast<char>('a' + (k + version) % 26));
+    return entry;
+  };
+  for (int k = 0; k < kKeys; ++k) node_.Store(tenant, make(k, 0));
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> hits{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    UpdateNotice blind;  // Invalidates every entry of the tenant.
+    for (int round = 1; round <= kRounds; ++round) {
+      if (round % 25 == 0) {
+        node_.ClearCache(tenant);
+      } else {
+        node_.OnUpdate(tenant, blind);
+      }
+      for (int k = 0; k < kKeys; ++k) node_.Store(tenant, make(k, round));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  for (int reader = 0; reader < kReaders; ++reader) {
+    threads.emplace_back([&, reader] {
+      // Each held entry next to the blob it had when it was returned.
+      std::vector<std::pair<std::shared_ptr<const CacheEntry>, std::string>>
+          held;
+      size_t next = 0;
+      for (int i = 0; !done.load(std::memory_order_acquire); ++i) {
+        const int k = (i * 7 + reader * 5) % kKeys;
+        std::shared_ptr<const CacheEntry> entry =
+            node_.LookupShared(tenant, key_of(k));
+        if (entry == nullptr) continue;
+        hits.fetch_add(1, std::memory_order_relaxed);
+        ASSERT_EQ(entry->key, key_of(k));
+        ASSERT_EQ(entry->blob.rfind(key_of(k) + ":v", 0), 0u);
+        std::string blob = entry->blob;
+        if (held.size() < kHeldPerReader) {
+          held.emplace_back(std::move(entry), std::move(blob));
+        } else {
+          held[next] = {std::move(entry), std::move(blob)};
+          next = (next + 1) % kHeldPerReader;
+        }
+        if (i % 16 == 0) node_.LookupStale(tenant, key_of(k), 4);
+        for (const auto& [ptr, blob_then] : held) {
+          ASSERT_EQ(ptr->blob, blob_then);
+          ASSERT_TRUE(ptr->statement.has_value());
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_GT(hits.load(), 0u);
+  const DsspStats stats = node_.stats(tenant);
+  EXPECT_EQ(stats.hits + stats.misses + stats.stale_hits, stats.lookups);
+}
+
 TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
   QueryCache cache;
   constexpr int kThreads = 8;
@@ -220,7 +294,7 @@ TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
                 [](const CacheEntry&) { return true; });
             break;
           case 4:
-            cache.Peek(key);
+            cache.GroupEntryKeys(static_cast<size_t>(k % 4));
             break;
           case 5:
             cache.SetCapacity(i % 2 == 0 ? 128 : 0);
@@ -239,8 +313,8 @@ TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
   size_t indexed = 0;
   for (size_t group : cache.GroupKeys()) {
     for (const std::string& key : cache.GroupEntryKeys(group)) {
-      const std::optional<CacheEntry> entry = cache.Peek(key);
-      ASSERT_TRUE(entry.has_value()) << "indexed key missing: " << key;
+      const std::shared_ptr<const CacheEntry> entry = cache.Lookup(key);
+      ASSERT_NE(entry, nullptr) << "indexed key missing: " << key;
       EXPECT_EQ(entry->template_index, group);
       ++indexed;
     }

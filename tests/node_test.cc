@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+
 #include "crypto/keyring.h"
 #include "dssp/app.h"
 #include "dssp/node.h"
@@ -269,6 +273,133 @@ TEST_F(NodeTest, RejectedNoticesDoNotAdvanceStaleEpoch) {
   }
   // Still exactly one update behind.
   EXPECT_TRUE(node_.LookupStale("toystore", key, 1).has_value());
+}
+
+// LookupShared hands out the cached entry itself; Lookup is the same
+// lookup plus one copy, and both feed the same counters.
+TEST_F(NodeTest, SharedLookupOutlivesInvalidationAndClear) {
+  CacheEntry entry;
+  entry.key = "shared-key";
+  entry.blob = std::string(100, 'b');
+  node_.Store("toystore", entry);
+
+  const std::shared_ptr<const CacheEntry> held =
+      node_.LookupShared("toystore", "shared-key");
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(node_.LookupShared("toystore", "shared-key").get(), held.get());
+  const std::optional<CacheEntry> copy = node_.Lookup("toystore", "shared-key");
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->blob, held->blob);
+  EXPECT_EQ(node_.LookupShared("ghost", "shared-key"), nullptr);
+
+  UpdateNotice blind;
+  ASSERT_EQ(node_.OnUpdate("toystore", blind), 1u);
+  EXPECT_EQ(node_.LookupShared("toystore", "shared-key"), nullptr);
+  EXPECT_EQ(held->key, "shared-key");
+  EXPECT_EQ(held->blob, std::string(100, 'b'));
+
+  node_.Store("toystore", entry);
+  const std::shared_ptr<const CacheEntry> again =
+      node_.LookupShared("toystore", "shared-key");
+  ASSERT_EQ(node_.ClearCache("toystore"), 1u);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again->blob, std::string(100, 'b'));
+
+  const DsspStats stats = node_.stats("toystore");
+  EXPECT_EQ(stats.lookups, 5u);  // The unknown app's lookup is not counted.
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+// A decorator that overrides only the copying Lookup, the shape of a
+// tracing wrapper written before LookupShared existed. ScalableApp reaches
+// it through the default LookupShared, so it must see every lookup and the
+// hits it serves must be correct.
+class CopyingLookupBackend : public CacheBackend {
+ public:
+  explicit CopyingLookupBackend(DsspNode& inner) : inner_(inner) {}
+
+  Status RegisterApp(std::string app_id, const catalog::Catalog* catalog,
+                     const templates::TemplateSet* templates) override {
+    return inner_.RegisterApp(std::move(app_id), catalog, templates);
+  }
+  std::optional<CacheEntry> Lookup(const std::string& app_id,
+                                   const std::string& key) override {
+    ++lookups;
+    return inner_.Lookup(app_id, key);
+  }
+  std::optional<CacheEntry> LookupStale(const std::string& app_id,
+                                        const std::string& key,
+                                        uint64_t max_updates_behind) override {
+    return inner_.LookupStale(app_id, key, max_updates_behind);
+  }
+  void Store(const std::string& app_id, CacheEntry entry) override {
+    inner_.Store(app_id, std::move(entry));
+  }
+  size_t OnUpdate(const std::string& app_id,
+                  const UpdateNotice& notice) override {
+    return inner_.OnUpdate(app_id, notice);
+  }
+  size_t ClearCache(const std::string& app_id) override {
+    return inner_.ClearCache(app_id);
+  }
+  void SetStaleRetention(const std::string& app_id,
+                         size_t max_entries) override {
+    inner_.SetStaleRetention(app_id, max_entries);
+  }
+
+  int lookups = 0;
+
+ private:
+  DsspNode& inner_;
+};
+
+TEST(CacheBackendTest, CopyingLookupDecoratorServesCorrectHits) {
+  DsspNode node;
+  CopyingLookupBackend decorated(node);
+  ScalableApp app("toystore", &decorated,
+                  crypto::KeyRing::FromPassphrase("decorated"));
+  workloads::ToystoreApplication toystore;
+  ASSERT_TRUE(toystore.Setup(app, 1.0, 7).ok());
+  ASSERT_TRUE(app.Finalize().ok());
+  // The same answers straight from the home database.
+  DsspNode plain_node;
+  ScalableApp plain("toystore", &plain_node,
+                    crypto::KeyRing::FromPassphrase("decorated"));
+  workloads::ToystoreApplication plain_toystore;
+  ASSERT_TRUE(plain_toystore.Setup(plain, 1.0, 7).ok());
+  ASSERT_TRUE(plain.Finalize().ok());
+
+  int queries = 0;
+  for (const ExposureLevel level :
+       {ExposureLevel::kView, ExposureLevel::kStmt, ExposureLevel::kTemplate,
+        ExposureLevel::kBlind}) {
+    ExposureAssignment exposure = ExposureAssignment::FullExposure(
+        app.templates().num_queries(), app.templates().num_updates());
+    for (ExposureLevel& query_level : exposure.query_levels) {
+      query_level = level;
+    }
+    ASSERT_TRUE(app.SetExposure(exposure).ok());
+    for (int64_t zip = 1; zip <= 3; ++zip) {
+      SCOPED_TRACE(::testing::Message() << "level " << static_cast<int>(level)
+                                        << " zip " << zip);
+      const StatusOr<engine::QueryResult> expected =
+          plain.Query("Q2", {Value(zip)});
+      ASSERT_TRUE(expected.ok());
+      for (const bool want_hit : {false, true}) {
+        AccessStats stats;
+        const StatusOr<engine::QueryResult> got =
+            app.Query("Q2", {Value(zip)}, &stats);
+        ++queries;
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(stats.cache_hit, want_hit);
+        EXPECT_EQ(got->Serialize(), expected->Serialize());
+      }
+    }
+  }
+  EXPECT_EQ(decorated.lookups, queries);
+  EXPECT_EQ(node.stats("toystore").lookups, static_cast<uint64_t>(queries));
+  EXPECT_EQ(node.stats("toystore").hits, static_cast<uint64_t>(queries / 2));
 }
 
 }  // namespace

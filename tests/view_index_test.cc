@@ -281,14 +281,14 @@ class NodePairHarness {
       // Peek-free membership check via the stale store bound trick is not
       // possible here, so use Lookup on both (symmetric side effects).
       const bool in_probe = probe_node_.Lookup(kApp, key).has_value();
-      const bool in_scan = scan_.cache().Lookup(key).has_value();
+      const bool in_scan = scan_.cache().Lookup(key) != nullptr;
       ASSERT_EQ(in_probe, in_scan) << "survivor set diverged";
       // Stale store: identical membership at several bounds.
       for (uint64_t bound : {uint64_t{0}, uint64_t{1}, uint64_t{3},
                              uint64_t{100}}) {
         ASSERT_EQ(
             probe_node_.LookupStale(kApp, key, bound).has_value(),
-            scan_.cache().LookupStale(key, bound).has_value())
+            scan_.cache().LookupStale(key, bound) != nullptr)
             << "stale store diverged at bound " << bound;
       }
     }
