@@ -1,16 +1,18 @@
 // Ablation: how much does the Section 4.5 integrity-constraint refinement
 // (primary-key and foreign-key rules) buy? Reports (a) the IPM pair counts
 // with and without the refinement, and (b) template-inspection invalidation
-// counts over a real trace.
+// counts over a real trace, from plans compiled with and without it.
 
 #include <cstdio>
 
+#include "analysis/plan.h"
 #include "bench/bench_util.h"
 #include "invalidation/strategies.h"
 
 namespace {
 
 using dssp::analysis::ExposureLevel;
+using dssp::analysis::InvalidationPlan;
 using dssp::analysis::IpmCharacterization;
 using dssp::analysis::IpmOptions;
 using dssp::invalidation::CachedQueryView;
@@ -43,8 +45,14 @@ int main() {
 
     // Trace: count template-level invalidation decisions across all
     // (update instance, query template) pairs of a workload run.
-    TemplateInspectionStrategy tis_with(catalog, true);
-    TemplateInspectionStrategy tis_without(catalog, false);
+    InvalidationPlan::Options no_ic;
+    no_ic.use_integrity_constraints = false;
+    const InvalidationPlan plan_with =
+        InvalidationPlan::Compile(templates, catalog);
+    const InvalidationPlan plan_without =
+        InvalidationPlan::Compile(templates, catalog, no_ic);
+    const TemplateInspectionStrategy tis_with(plan_with);
+    const TemplateInspectionStrategy tis_without(plan_without);
     auto session = system->workload->NewSession(9);
     dssp::Rng rng(41);
     uint64_t updates = 0;
@@ -58,10 +66,12 @@ int main() {
         UpdateView uv;
         uv.level = ExposureLevel::kTemplate;
         uv.tmpl = &templates.updates()[index];
-        for (const auto& q : templates.queries()) {
+        uv.template_index = index;
+        for (size_t q = 0; q < templates.num_queries(); ++q) {
           CachedQueryView qv;
           qv.level = ExposureLevel::kTemplate;
-          qv.tmpl = &q;
+          qv.tmpl = &templates.queries()[q];
+          qv.template_index = q;
           if (tis_with.Decide(uv, qv) == Decision::kInvalidate) ++inv_with;
           if (tis_without.Decide(uv, qv) == Decision::kInvalidate) {
             ++inv_without;

@@ -1,10 +1,10 @@
-// Ablation: ahead-of-time invalidation-plan compiler vs. legacy per-call
+// Ablation: ahead-of-time invalidation-plan compiler vs. per-call
 // re-derivation. For each application, replays a trace against a pool of
 // cached query instances and runs every (update, cached entry) decision
-// twice — once through MSIS re-deriving the Section 4 analysis per call,
-// once through MSIS backed by the compiled InvalidationPlan — verifying the
-// decisions are bit-identical and reporting solver invocations and decision
-// throughput for both paths.
+// twice — once through the test-side oracle that re-derives the Section 4
+// analysis per call (tests/rederive_oracle.h), once through MSIS backed by
+// the compiled InvalidationPlan — verifying the decisions are bit-identical
+// and reporting solver invocations and decision throughput for both paths.
 
 #include <chrono>
 #include <cstdio>
@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "invalidation/independence.h"
 #include "invalidation/strategies.h"
+#include "tests/rederive_oracle.h"
 
 namespace {
 
@@ -22,6 +23,7 @@ using dssp::analysis::ExposureLevel;
 using dssp::analysis::InvalidationPlan;
 using dssp::invalidation::CachedQueryView;
 using dssp::invalidation::Decision;
+using dssp::invalidation::RederiveOracle;
 using dssp::invalidation::StatementInspectionStrategy;
 using dssp::invalidation::UpdateView;
 
@@ -60,11 +62,8 @@ int main() {
     const double compile_s = Seconds(Clock::now() - compile_start);
     const InvalidationPlan::Summary summary = plan.Summarize();
 
-    StatementInspectionStrategy legacy(catalog);
-    StatementInspectionStrategy compiled(catalog,
-                                         /*use_independence_solver=*/true,
-                                         /*use_integrity_constraints=*/true,
-                                         &plan);
+    const RederiveOracle legacy(catalog);
+    const StatementInspectionStrategy compiled(catalog, plan);
 
     auto session = system->workload->NewSession(9);
     dssp::Rng rng(43);
@@ -97,7 +96,7 @@ int main() {
         uv.statement = &u_stmt;
         uv.template_index = u_index;
 
-        // Legacy sweep: re-derives the template/statement analysis per call.
+        // Per-call sweep: re-derives the template/statement analysis.
         uint64_t legacy_invalidations = 0;
         uint64_t before = dssp::invalidation::SolverInvocations();
         auto start = Clock::now();
@@ -106,9 +105,7 @@ int main() {
           qv.level = ExposureLevel::kStmt;
           qv.tmpl = &templates.queries()[entry.query_index];
           qv.statement = &entry.statement;
-          // template_index deliberately left unset: forces the legacy path
-          // even though `legacy` holds no plan anyway.
-          if (legacy.Decide(uv, qv) == Decision::kInvalidate) {
+          if (legacy.StatementLevel(uv, qv) == Decision::kInvalidate) {
             ++legacy_invalidations;
           }
         }

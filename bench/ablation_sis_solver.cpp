@@ -2,20 +2,26 @@
 // inside MSIS, and how much further does view inspection (MVIS) refine?
 // For each application, replays a trace against a pool of cached query
 // instances and reports the fraction of (update, cached entry) decisions
-// that invalidate, per strategy variant.
+// that invalidate, per strategy variant. Every variant answers from the
+// compiled InvalidationPlan. MSIS without the solver keeps only the plan's
+// template-level verdict, which is exactly MTIS's decision, so the
+// "MSIS(no solver)" column is computed with MTIS over the same plan.
 
 #include <cstdio>
 #include <map>
 
+#include "analysis/plan.h"
 #include "bench/bench_util.h"
 #include "invalidation/strategies.h"
 
 namespace {
 
 using dssp::analysis::ExposureLevel;
+using dssp::analysis::InvalidationPlan;
 using dssp::invalidation::CachedQueryView;
 using dssp::invalidation::Decision;
 using dssp::invalidation::StatementInspectionStrategy;
+using dssp::invalidation::TemplateInspectionStrategy;
 using dssp::invalidation::UpdateView;
 using dssp::invalidation::ViewInspectionStrategy;
 
@@ -41,11 +47,10 @@ int main() {
     const auto& templates = system->app->templates();
     const auto& catalog = db.catalog();
 
-    StatementInspectionStrategy sis_no_solver(catalog,
-                                              /*use_independence_solver=*/
-                                              false);
-    StatementInspectionStrategy sis(catalog);
-    ViewInspectionStrategy vis(catalog);
+    const InvalidationPlan plan = InvalidationPlan::Compile(templates, catalog);
+    const TemplateInspectionStrategy sis_no_solver(plan);
+    const StatementInspectionStrategy sis(catalog, plan);
+    const ViewInspectionStrategy vis(catalog, plan);
 
     auto session = system->workload->NewSession(9);
     dssp::Rng rng(43);
@@ -76,12 +81,14 @@ int main() {
         uv.level = ExposureLevel::kStmt;
         uv.tmpl = &u_tmpl;
         uv.statement = &u_stmt;
+        uv.template_index = u_index;
         for (const auto& [key, entry] : cached) {
           CachedQueryView qv;
           qv.level = ExposureLevel::kView;
           qv.tmpl = &templates.queries()[entry.query_index];
           qv.statement = &entry.statement;
           qv.result = &entry.result;
+          qv.template_index = entry.query_index;
           ++decisions;
           if (sis_no_solver.Decide(uv, qv) == Decision::kInvalidate) {
             ++inv_no_solver;

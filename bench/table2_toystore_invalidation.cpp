@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/plan.h"
 #include "invalidation/strategies.h"
 #include "workloads/toystore.h"
 
@@ -48,14 +49,17 @@ int main() {
       {"Q3(cust_id=2)", "Q3", {Value(2)}},
   };
 
-  const auto* u1 = templates.FindUpdate("U1");
-  DSSP_CHECK(u1 != nullptr);
+  const size_t u1_index = templates.UpdateIndex("U1");
+  DSSP_CHECK(u1_index != dssp::templates::TemplateSet::kNpos);
+  const auto* u1 = &templates.updates()[u1_index];
   const dssp::sql::Statement update_stmt = u1->Bind({Value(5)});
 
+  const auto plan =
+      dssp::analysis::InvalidationPlan::Compile(templates, catalog);
   dssp::invalidation::BlindStrategy blind;
-  dssp::invalidation::TemplateInspectionStrategy tis(catalog);
-  dssp::invalidation::StatementInspectionStrategy sis(catalog);
-  dssp::invalidation::ViewInspectionStrategy vis(catalog);
+  dssp::invalidation::TemplateInspectionStrategy tis(plan);
+  dssp::invalidation::StatementInspectionStrategy sis(catalog, plan);
+  dssp::invalidation::ViewInspectionStrategy vis(catalog, plan);
 
   struct Scenario {
     const char* accessible;
@@ -81,19 +85,26 @@ int main() {
   for (const Scenario& scenario : scenarios) {
     UpdateView uv;
     uv.level = scenario.update_level;
-    if (uv.level != ExposureLevel::kBlind) uv.tmpl = u1;
+    if (uv.level != ExposureLevel::kBlind) {
+      uv.tmpl = u1;
+      uv.template_index = u1_index;
+    }
     if (uv.level == ExposureLevel::kStmt) uv.statement = &update_stmt;
 
     std::string invalidated;
     for (const Instance& instance : instances) {
-      const auto* q = templates.FindQuery(instance.query_id);
+      const size_t q_index = templates.QueryIndex(instance.query_id);
+      const auto* q = &templates.queries()[q_index];
       const dssp::sql::Statement stmt = q->Bind(instance.params);
       const auto result = db->ExecuteQuery(stmt);
       DSSP_CHECK(result.ok());
 
       CachedQueryView qv;
       qv.level = scenario.query_level;
-      if (qv.level != ExposureLevel::kBlind) qv.tmpl = q;
+      if (qv.level != ExposureLevel::kBlind) {
+        qv.tmpl = q;
+        qv.template_index = q_index;
+      }
       if (qv.level == ExposureLevel::kStmt ||
           qv.level == ExposureLevel::kView) {
         qv.statement = &stmt;

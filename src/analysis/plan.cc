@@ -543,6 +543,7 @@ InvalidationPlan InvalidationPlan::Compile(
   InvalidationPlan plan;
   plan.num_updates_ = templates.num_updates();
   plan.num_queries_ = templates.num_queries();
+  plan.options_ = options;
   plan.pairs_.reserve(plan.num_updates_ * plan.num_queries_);
   for (const UpdateTemplate& u : templates.updates()) {
     for (const QueryTemplate& q : templates.queries()) {
@@ -550,13 +551,6 @@ InvalidationPlan InvalidationPlan::Compile(
     }
   }
   return plan;
-}
-
-StmtDecision InvalidationPlan::DecideStmt(size_t update_index,
-                                          size_t query_index,
-                                          const sql::Statement& update,
-                                          const sql::Statement& query) const {
-  return EvaluatePairPlan(pair(update_index, query_index), update, query);
 }
 
 InvalidationPlan::Summary InvalidationPlan::Summarize() const {

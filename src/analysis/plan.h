@@ -16,13 +16,11 @@ namespace dssp::analysis {
 // ---------------------------------------------------------------------------
 // Ahead-of-time invalidation-plan compiler.
 //
-// The runtime invalidation strategies re-derive the Section 4 template
-// analysis on every (update, cached entry) decision: MTIS reruns the
-// Lemma-1 / Section 4.5 reasoning, and MSIS re-walks both statements' ASTs,
-// re-resolves FROM slots against the catalog, and reruns the Levy-Sagiv
-// style satisfiability solve — once per cached entry, on the serving hot
-// path. All of that work depends only on the *templates*, which are fixed at
-// application registration.
+// Every (update, cached entry) decision rests on the Section 4 template
+// analysis: the Lemma-1 / Section 4.5 reasoning at template level and, at
+// statement level, a Levy-Sagiv style satisfiability solve over both
+// statements' resolved FROM slots. All of that work depends only on the
+// *templates*, which are fixed at application registration.
 //
 // InvalidationPlan::Compile runs the analysis once per (update template,
 // query template) pair and emits a compiled PairPlan: either a constant
@@ -31,12 +29,15 @@ namespace dssp::analysis {
 // lookups, and no solver. The compiler constant-folds every subexpression
 // whose operands are template literals, so a pair whose statement-level
 // outcome does not actually depend on the parameters collapses to a
-// constant.
+// constant. The invalidation strategies (invalidation/strategies.h) answer
+// from the plan alone.
 //
 // Equivalence contract: for every pair and every parameter binding, the
-// compiled decision is IDENTICAL to the decision the legacy derivation
-// produces (enforced by tests/plan_differential_test.cc). The compiler
-// refuses to compile — kSolverFallback — any shape it cannot mirror exactly.
+// compiled decision is IDENTICAL to re-deriving the analysis per call
+// (IsIgnorable, InsertionIrrelevantByConstraints, ProvablyIndependent);
+// tests/plan_differential_test.cc checks it against the test-side
+// re-derivation in tests/rederive_oracle.h. The compiler refuses to
+// compile — kSolverFallback — any shape it cannot mirror exactly.
 // ---------------------------------------------------------------------------
 
 // The decision procedure compiled for one (update, query) template pair.
@@ -170,8 +171,7 @@ enum class StmtDecision {
 class InvalidationPlan {
  public:
   struct Options {
-    // Apply the Section 4.5 PK/FK refinement. Must match the
-    // use_integrity_constraints flag of every strategy consulting the plan.
+    // Apply the Section 4.5 PK/FK refinement.
     bool use_integrity_constraints = true;
   };
 
@@ -192,14 +192,8 @@ class InvalidationPlan {
 
   size_t num_updates() const { return num_updates_; }
   size_t num_queries() const { return num_queries_; }
-
-  // Evaluates the pair's statement-level decision on bound statements.
-  // Bit-identical to ProvablyIndependent(...) for statements bound from the
-  // pair's templates; a statement whose shape does not match the compiled
-  // coordinates yields kInvalidate (sound). Never consults the catalog.
-  StmtDecision DecideStmt(size_t update_index, size_t query_index,
-                          const sql::Statement& update,
-                          const sql::Statement& query) const;
+  // The options the plan was compiled with; the solver fallback reuses them.
+  const Options& options() const { return options_; }
 
   // Pair counts by compiled kind (explain/ablation reporting).
   struct Summary {
@@ -219,6 +213,7 @@ class InvalidationPlan {
  private:
   size_t num_updates_ = 0;
   size_t num_queries_ = 0;
+  Options options_;
   std::vector<PairPlan> pairs_;
 };
 
@@ -229,7 +224,10 @@ PairPlan CompilePairPlan(const templates::UpdateTemplate& u,
                          const InvalidationPlan::Options& options = {});
 
 // Evaluates one compiled pair on bound statements (kRunSolver for
-// kSolverFallback pairs).
+// kSolverFallback pairs). Bit-identical to ProvablyIndependent(...) for
+// statements bound from the pair's templates; a statement whose shape does
+// not match the compiled coordinates yields kInvalidate (sound). Never
+// consults the catalog.
 StmtDecision EvaluatePairPlan(const PairPlan& plan,
                               const sql::Statement& update,
                               const sql::Statement& query);

@@ -66,7 +66,7 @@ Status DsspNode::RegisterApp(std::string app_id,
       ViewIndexPlan::Compile(*templates, *catalog, *state.plan));
   state.cache.SetViewIndex(state.view_index.get());
   state.strategy = std::make_unique<invalidation::MixedStrategy>(
-      *catalog, state.plan.get());
+      *catalog, *state.plan);
   return Status::Ok();
 }
 

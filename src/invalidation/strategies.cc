@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "analysis/ipm.h"
 #include "analysis/query_slots.h"
 #include "engine/eval.h"
 #include "invalidation/independence.h"
@@ -18,82 +17,57 @@ Decision BlindStrategy::Decide(const UpdateView& update,
 
 namespace {
 
-// True when both views carry the TemplateSet coordinates a compiled plan is
-// indexed by.
-bool HasPlanIndices(const UpdateView& update, const CachedQueryView& query) {
-  return update.template_index != kNoTemplateIndex &&
+// True when both templates are exposed and carry their TemplateSet index,
+// so the pair has a compiled plan. Otherwise every strategy invalidates.
+bool HasPlanPair(const UpdateView& update, const CachedQueryView& query) {
+  return update.tmpl != nullptr && query.tmpl != nullptr &&
+         update.template_index != kNoTemplateIndex &&
          query.template_index != kNoTemplateIndex;
+}
+
+// The compiled plan of the pair, or nullptr when it has none.
+const analysis::PairPlan* FindPair(const analysis::InvalidationPlan& plan,
+                                   const UpdateView& update,
+                                   const CachedQueryView& query) {
+  return HasPlanPair(update, query)
+             ? &plan.pair(update.template_index, query.template_index)
+             : nullptr;
 }
 
 }  // namespace
 
 Decision TemplateInspectionStrategy::Decide(
     const UpdateView& update, const CachedQueryView& query) const {
-  if (update.tmpl == nullptr || query.tmpl == nullptr) {
-    return Decision::kInvalidate;
-  }
-  if (plan_ != nullptr && HasPlanIndices(update, query)) {
-    // Compiled A-cell decision: never_invalidate captures exactly the
-    // Lemma-1 / Section 4.5 template checks below.
-    return plan_->pair(update.template_index, query.template_index)
-                   .never_invalidate
-               ? Decision::kDoNotInvalidate
-               : Decision::kInvalidate;
-  }
-  if (templates::IsIgnorable(*update.tmpl, *query.tmpl)) {
-    return Decision::kDoNotInvalidate;
-  }
-  if (use_integrity_constraints_ &&
-      analysis::InsertionIrrelevantByConstraints(*update.tmpl, *query.tmpl,
-                                                 catalog_)) {
-    return Decision::kDoNotInvalidate;
-  }
-  return Decision::kInvalidate;
+  // never_invalidate is the compiled A cell: the pair is ignorable
+  // (Lemma 1) or ruled out by the Section 4.5 PK/FK rules.
+  const analysis::PairPlan* pair = FindPair(plan_, update, query);
+  return pair != nullptr && pair->never_invalidate
+             ? Decision::kDoNotInvalidate
+             : Decision::kInvalidate;
 }
 
 Decision StatementInspectionStrategy::Decide(
     const UpdateView& update, const CachedQueryView& query) const {
-  if (update.tmpl == nullptr || query.tmpl == nullptr) {
+  const analysis::PairPlan* pair = FindPair(plan_, update, query);
+  if (pair == nullptr) return Decision::kInvalidate;
+  if (pair->never_invalidate) return Decision::kDoNotInvalidate;
+  if (update.statement == nullptr || query.statement == nullptr) {
     return Decision::kInvalidate;
   }
-  if (plan_ != nullptr && HasPlanIndices(update, query)) {
-    const analysis::PairPlan& pair =
-        plan_->pair(update.template_index, query.template_index);
-    if (pair.never_invalidate) return Decision::kDoNotInvalidate;
-    if (use_independence_solver_ && update.statement != nullptr &&
-        query.statement != nullptr) {
-      switch (analysis::EvaluatePairPlan(pair, *update.statement,
-                                         *query.statement)) {
-        case analysis::StmtDecision::kIndependent:
-          return Decision::kDoNotInvalidate;
-        case analysis::StmtDecision::kInvalidate:
-          return Decision::kInvalidate;
-        case analysis::StmtDecision::kRunSolver:
-          return ProvablyIndependent(*update.tmpl, *update.statement,
-                                     *query.tmpl, *query.statement, catalog_,
-                                     use_integrity_constraints_)
-                     ? Decision::kDoNotInvalidate
-                     : Decision::kInvalidate;
-      }
-    }
-    return Decision::kInvalidate;
+  switch (analysis::EvaluatePairPlan(*pair, *update.statement,
+                                     *query.statement)) {
+    case analysis::StmtDecision::kIndependent:
+      return Decision::kDoNotInvalidate;
+    case analysis::StmtDecision::kInvalidate:
+      return Decision::kInvalidate;
+    case analysis::StmtDecision::kRunSolver:
+      return ProvablyIndependent(*update.tmpl, *update.statement, *query.tmpl,
+                                 *query.statement, catalog_,
+                                 plan_.options().use_integrity_constraints)
+                 ? Decision::kDoNotInvalidate
+                 : Decision::kInvalidate;
   }
-  if (templates::IsIgnorable(*update.tmpl, *query.tmpl)) {
-    return Decision::kDoNotInvalidate;
-  }
-  if (use_integrity_constraints_ &&
-      analysis::InsertionIrrelevantByConstraints(*update.tmpl, *query.tmpl,
-                                                 catalog_)) {
-    return Decision::kDoNotInvalidate;
-  }
-  if (use_independence_solver_ && update.statement != nullptr &&
-      query.statement != nullptr &&
-      ProvablyIndependent(*update.tmpl, *update.statement, *query.tmpl,
-                          *query.statement, catalog_,
-                          use_integrity_constraints_)) {
-    return Decision::kDoNotInvalidate;
-  }
-  return Decision::kInvalidate;
+  DSSP_UNREACHABLE("bad StmtDecision");
 }
 
 namespace {
@@ -157,9 +131,8 @@ Decision ViewInspectionStrategy::Decide(const UpdateView& update,
   if (sis_.Decide(update, query) == Decision::kDoNotInvalidate) {
     return Decision::kDoNotInvalidate;
   }
-  if (update.tmpl == nullptr || update.statement == nullptr ||
-      query.tmpl == nullptr || query.statement == nullptr ||
-      query.result == nullptr) {
+  if (!HasPlanPair(update, query) || update.statement == nullptr ||
+      query.statement == nullptr || query.result == nullptr) {
     return Decision::kInvalidate;
   }
 

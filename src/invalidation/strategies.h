@@ -7,14 +7,13 @@
 
 namespace dssp::invalidation {
 
-// All strategies below optionally take a compiled analysis::InvalidationPlan.
-// When one is supplied AND both views carry their TemplateSet indices, the
-// strategy answers from the plan — an O(1) pair lookup plus (for MSIS) a
-// compiled parameter program — instead of re-deriving the Section 4 analysis
-// per call; the general solver runs only for kSolverFallback pairs. The plan
-// must have been compiled from the same TemplateSet/Catalog the views refer
-// to, with Options matching the strategy's use_integrity_constraints flag.
-// Decisions are bit-identical either way (tests/plan_differential_test.cc).
+// The strategies below answer from a compiled analysis::InvalidationPlan:
+// an O(1) pair lookup plus (for MSIS) a compiled parameter program; the
+// general solver runs only for kSolverFallback pairs, with the options the
+// plan was compiled with. The plan must have been compiled from the
+// TemplateSet and Catalog the views refer to, and must outlive the strategy.
+// A view whose template is hidden or carries no TemplateSet index
+// (kNoTemplateIndex) has no pair to look up and is invalidated.
 
 // Minimal blind strategy (MBS): with nothing exposed, correctness forces
 // invalidating every cached result on every update.
@@ -30,21 +29,17 @@ class BlindStrategy : public InvalidationStrategy {
 // (Lemma 1) or ruled out by PK/FK integrity constraints (Section 4.5).
 class TemplateInspectionStrategy : public InvalidationStrategy {
  public:
-  explicit TemplateInspectionStrategy(
-      const catalog::Catalog& catalog, bool use_integrity_constraints = true,
-      const analysis::InvalidationPlan* plan = nullptr)
-      : catalog_(catalog),
-        use_integrity_constraints_(use_integrity_constraints),
-        plan_(plan) {}
+  explicit TemplateInspectionStrategy(const analysis::InvalidationPlan& plan)
+      : plan_(plan) {}
+  // The strategy keeps a reference: a temporary plan would dangle.
+  explicit TemplateInspectionStrategy(analysis::InvalidationPlan&&) = delete;
 
   Decision Decide(const UpdateView& update,
                   const CachedQueryView& query) const override;
   std::string_view name() const override { return "MTIS"; }
 
  private:
-  const catalog::Catalog& catalog_;
-  bool use_integrity_constraints_;
-  const analysis::InvalidationPlan* plan_;
+  const analysis::InvalidationPlan& plan_;
 };
 
 // Minimal statement-inspection strategy (MSIS): additionally sees bound
@@ -52,14 +47,11 @@ class TemplateInspectionStrategy : public InvalidationStrategy {
 // style satisfiability over the shared attributes).
 class StatementInspectionStrategy : public InvalidationStrategy {
  public:
-  explicit StatementInspectionStrategy(
-      const catalog::Catalog& catalog, bool use_independence_solver = true,
-      bool use_integrity_constraints = true,
-      const analysis::InvalidationPlan* plan = nullptr)
-      : catalog_(catalog),
-        use_independence_solver_(use_independence_solver),
-        use_integrity_constraints_(use_integrity_constraints),
-        plan_(plan) {}
+  StatementInspectionStrategy(const catalog::Catalog& catalog,
+                              const analysis::InvalidationPlan& plan)
+      : catalog_(catalog), plan_(plan) {}
+  StatementInspectionStrategy(const catalog::Catalog&,
+                              analysis::InvalidationPlan&&) = delete;
 
   Decision Decide(const UpdateView& update,
                   const CachedQueryView& query) const override;
@@ -67,9 +59,7 @@ class StatementInspectionStrategy : public InvalidationStrategy {
 
  private:
   const catalog::Catalog& catalog_;
-  bool use_independence_solver_;
-  bool use_integrity_constraints_;
-  const analysis::InvalidationPlan* plan_;
+  const analysis::InvalidationPlan& plan_;
 };
 
 // View-inspection strategy (VIS): additionally inspects the cached result.
@@ -79,12 +69,11 @@ class StatementInspectionStrategy : public InvalidationStrategy {
 // outside E/N, which is rare and affects only precision, never correctness).
 class ViewInspectionStrategy : public InvalidationStrategy {
  public:
-  explicit ViewInspectionStrategy(
-      const catalog::Catalog& catalog, bool use_integrity_constraints = true,
-      const analysis::InvalidationPlan* plan = nullptr)
-      : catalog_(catalog),
-        sis_(catalog, /*use_independence_solver=*/true,
-             use_integrity_constraints, plan) {}
+  ViewInspectionStrategy(const catalog::Catalog& catalog,
+                         const analysis::InvalidationPlan& plan)
+      : catalog_(catalog), sis_(catalog, plan) {}
+  ViewInspectionStrategy(const catalog::Catalog&,
+                         analysis::InvalidationPlan&&) = delete;
 
   Decision Decide(const UpdateView& update,
                   const CachedQueryView& query) const override;
@@ -99,13 +88,11 @@ class ViewInspectionStrategy : public InvalidationStrategy {
 // strategy class its exposure levels select (Figure 6's shaded cells).
 class MixedStrategy : public InvalidationStrategy {
  public:
-  explicit MixedStrategy(const catalog::Catalog& catalog,
-                         const analysis::InvalidationPlan* plan = nullptr)
-      : blind_(),
-        tis_(catalog, /*use_integrity_constraints=*/true, plan),
-        sis_(catalog, /*use_independence_solver=*/true,
-             /*use_integrity_constraints=*/true, plan),
-        vis_(catalog, /*use_integrity_constraints=*/true, plan) {}
+  MixedStrategy(const catalog::Catalog& catalog,
+                const analysis::InvalidationPlan& plan)
+      : tis_(plan), sis_(catalog, plan), vis_(catalog, plan) {}
+  MixedStrategy(const catalog::Catalog&,
+                analysis::InvalidationPlan&&) = delete;
 
   Decision Decide(const UpdateView& update,
                   const CachedQueryView& query) const override;

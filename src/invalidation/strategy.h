@@ -17,10 +17,9 @@ enum class Decision {
 };
 
 // Sentinel for "template index unknown" in the views below; equals
-// CacheEntry::kNoTemplate. Strategies that hold a compiled InvalidationPlan
-// need the TemplateSet index of both templates to look up the pair's plan;
-// views built from ad-hoc templates (tests) leave the index unset and take
-// the legacy re-derivation path.
+// CacheEntry::kNoTemplate. The strategies look a pair up in the compiled
+// InvalidationPlan by the TemplateSet index of both templates, so a view
+// left at this sentinel has no pair to consult and is invalidated.
 inline constexpr size_t kNoTemplateIndex = static_cast<size_t>(-1);
 
 // What the DSSP can see about a completed update, as limited by the update

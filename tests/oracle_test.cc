@@ -10,13 +10,20 @@
 // result changed MUST have been invalidated by every strategy class. We also
 // check the Figure 4 hierarchy: invalidation counts are monotone
 // MBS >= MTIS >= MSIS >= MVIS.
+//
+// The strategies answer from the InvalidationPlan compiled for the app, and
+// the MixedStrategy is built exactly as DsspNode::RegisterApp builds it, so
+// this checks the serving decision path against re-execution. The mixed
+// strategy is asked at every (update, query) exposure pair.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "analysis/plan.h"
 #include "crypto/keyring.h"
 #include "dssp/app.h"
 #include "invalidation/strategies.h"
@@ -47,10 +54,21 @@ TEST_P(OracleTest, StrategiesAreCorrectAndMonotoneOnRealTraces) {
   const templates::TemplateSet& templates = app.templates();
   const catalog::Catalog& catalog = db.catalog();
 
+  // What DsspNode::RegisterApp compiles and installs.
+  const analysis::InvalidationPlan plan =
+      analysis::InvalidationPlan::Compile(templates, catalog);
   BlindStrategy blind;
-  TemplateInspectionStrategy tis(catalog);
-  StatementInspectionStrategy sis(catalog);
-  ViewInspectionStrategy vis(catalog);
+  TemplateInspectionStrategy tis(plan);
+  StatementInspectionStrategy sis(catalog, plan);
+  ViewInspectionStrategy vis(catalog, plan);
+  MixedStrategy mixed(catalog, plan);
+  constexpr ExposureLevel kUpdateLevels[] = {
+      ExposureLevel::kBlind, ExposureLevel::kTemplate, ExposureLevel::kStmt};
+  constexpr ExposureLevel kQueryLevels[] = {
+      ExposureLevel::kBlind, ExposureLevel::kTemplate, ExposureLevel::kStmt,
+      ExposureLevel::kView};
+  constexpr size_t kNumUpdateLevels = std::size(kUpdateLevels);
+  constexpr size_t kNumQueryLevels = std::size(kQueryLevels);
 
   auto session = workload->NewSession(4);
   Rng rng(99);
@@ -94,9 +112,23 @@ TEST_P(OracleTest, StrategiesAreCorrectAndMonotoneOnRealTraces) {
       uv.level = ExposureLevel::kStmt;
       uv.tmpl = &u_tmpl;
       uv.statement = &u_stmt;
+      uv.template_index = u_index;
+      // The notice the node would receive at each update exposure level.
+      UpdateView gated_updates[kNumUpdateLevels];
+      for (size_t i = 0; i < kNumUpdateLevels; ++i) {
+        gated_updates[i].level = kUpdateLevels[i];
+        if (kUpdateLevels[i] != ExposureLevel::kBlind) {
+          gated_updates[i].tmpl = &u_tmpl;
+          gated_updates[i].template_index = u_index;
+        }
+        if (kUpdateLevels[i] == ExposureLevel::kStmt) {
+          gated_updates[i].statement = &u_stmt;
+        }
+      }
 
       struct Decisions {
         Decision blind, tis, sis, vis;
+        Decision mixed[kNumUpdateLevels][kNumQueryLevels];
       };
       std::map<std::string, Decisions> decisions;
       for (const auto& [key, instance] : cached) {
@@ -107,6 +139,7 @@ TEST_P(OracleTest, StrategiesAreCorrectAndMonotoneOnRealTraces) {
         CachedQueryView tis_view;
         tis_view.level = ExposureLevel::kTemplate;
         tis_view.tmpl = &q_tmpl;
+        tis_view.template_index = instance.query_index;
         CachedQueryView sis_view = tis_view;
         sis_view.level = ExposureLevel::kStmt;
         sis_view.statement = &instance.statement;
@@ -115,7 +148,15 @@ TEST_P(OracleTest, StrategiesAreCorrectAndMonotoneOnRealTraces) {
         vis_view.result = &instance.result;
         decisions[key] = Decisions{
             blind.Decide(uv, blind_view), tis.Decide(uv, tis_view),
-            sis.Decide(uv, sis_view), vis.Decide(uv, vis_view)};
+            sis.Decide(uv, sis_view), vis.Decide(uv, vis_view), {}};
+        const CachedQueryView gated_queries[kNumQueryLevels] = {
+            blind_view, tis_view, sis_view, vis_view};
+        for (size_t i = 0; i < kNumUpdateLevels; ++i) {
+          for (size_t j = 0; j < kNumQueryLevels; ++j) {
+            decisions[key].mixed[i][j] =
+                mixed.Decide(gated_updates[i], gated_queries[j]);
+          }
+        }
         if (decisions[key].blind == Decision::kInvalidate) ++inv_blind;
         if (decisions[key].tis == Decision::kInvalidate) ++inv_tis;
         if (decisions[key].sis == Decision::kInvalidate) ++inv_sis;
@@ -150,6 +191,15 @@ TEST_P(OracleTest, StrategiesAreCorrectAndMonotoneOnRealTraces) {
               << "MSIS missed: " << sql::ToSql(u_stmt) << " vs " << key;
           EXPECT_EQ(d.vis, Decision::kInvalidate)
               << "MVIS missed: " << sql::ToSql(u_stmt) << " vs " << key;
+          for (size_t i = 0; i < kNumUpdateLevels; ++i) {
+            for (size_t j = 0; j < kNumQueryLevels; ++j) {
+              EXPECT_EQ(d.mixed[i][j], Decision::kInvalidate)
+                  << "mixed missed at ("
+                  << analysis::ExposureLevelName(kUpdateLevels[i]) << ", "
+                  << analysis::ExposureLevelName(kQueryLevels[j])
+                  << "): " << sql::ToSql(u_stmt) << " vs " << key;
+            }
+          }
           instance.result = std::move(*fresh);
         }
       }

@@ -1,10 +1,11 @@
 // Differential verification of the ahead-of-time invalidation-plan compiler
-// (analysis/plan.h) against the legacy per-call derivation:
+// (analysis/plan.h) against the per-call re-derivation of Section 4
+// (RederiveOracle, rederive_oracle.h):
 //
 //  1. On every (update, query) template pair of all four paper workloads,
-//     compiled decisions must be bit-identical to the legacy strategy
-//     decisions for randomized parameter bindings (>= 100k bound statement
-//     pairs together with the random-template part).
+//     the plan-backed MTIS and MSIS decisions must be bit-identical to the
+//     re-derived ones for randomized parameter bindings (>= 100k bound
+//     statement pairs together with the random-template part).
 //  2. On randomly generated templates over a synthetic PK/FK schema, same.
 //  3. Against the brute-force database oracle: whenever the compiled path
 //     answers "do not invalidate", actually applying the update must leave
@@ -25,6 +26,7 @@
 #include "engine/database.h"
 #include "invalidation/independence.h"
 #include "invalidation/strategies.h"
+#include "rederive_oracle.h"
 #include "sql/ast.h"
 #include "workloads/application.h"
 #include "workloads/toystore.h"
@@ -34,6 +36,7 @@ namespace {
 
 using invalidation::CachedQueryView;
 using invalidation::Decision;
+using invalidation::RederiveOracle;
 using invalidation::StatementInspectionStrategy;
 using invalidation::TemplateInspectionStrategy;
 using invalidation::UpdateView;
@@ -151,50 +154,44 @@ bool PlanSaysIndependent(const PairPlan& plan, const UpdateTemplate& u,
   return false;
 }
 
-// One bound statement pair: legacy solver vs compiled plan, plus the
-// strategy objects themselves (legacy vs plan-backed) at stmt/stmt
-// exposure. Returns the number of compared statement pairs (1).
+// One bound statement pair: general solver vs compiled plan, plus the
+// plan-backed MSIS against the re-derivation oracle at stmt/stmt exposure.
+// Returns the number of compared statement pairs (1).
 size_t CheckOnePair(const PairPlan& pair_plan, const UpdateTemplate& u,
                     size_t u_index, const sql::Statement& us,
                     const QueryTemplate& q, size_t q_index,
                     const sql::Statement& qs,
                     const catalog::Catalog& catalog,
-                    const StatementInspectionStrategy& legacy_sis,
+                    const RederiveOracle& oracle,
                     const StatementInspectionStrategy& plan_sis) {
-  const bool legacy =
+  const bool solver =
       invalidation::ProvablyIndependent(u, us, q, qs, catalog);
   const bool compiled =
       PlanSaysIndependent(pair_plan, u, us, q, qs, catalog);
-  EXPECT_EQ(legacy, compiled)
+  EXPECT_EQ(solver, compiled)
       << "pair (" << u.id() << ", " << q.id() << ") kind "
       << PlanKindName(pair_plan.kind) << " [" << pair_plan.rationale
       << "]\n  update: " << sql::ToSql(us) << "\n  query:  " << sql::ToSql(qs);
 
-  UpdateView legacy_u{analysis::ExposureLevel::kStmt, &u, &us};
-  CachedQueryView legacy_q{analysis::ExposureLevel::kStmt, &q, &qs};
-  UpdateView plan_u = legacy_u;
-  plan_u.template_index = u_index;
-  CachedQueryView plan_q = legacy_q;
-  plan_q.template_index = q_index;
-  EXPECT_EQ(legacy_sis.Decide(legacy_u, legacy_q),
-            plan_sis.Decide(plan_u, plan_q))
+  // The oracle ignores template_index, so one pair of views serves both.
+  const UpdateView uv{analysis::ExposureLevel::kStmt, &u, &us, u_index};
+  const CachedQueryView qv{analysis::ExposureLevel::kStmt, &q, &qs, nullptr,
+                           q_index};
+  EXPECT_EQ(oracle.StatementLevel(uv, qv), plan_sis.Decide(uv, qv))
       << "MSIS mismatch on (" << u.id() << ", " << q.id() << ")";
   return 1;
 }
 
-// Template-level check: plan-backed MTIS vs legacy MTIS for one pair.
+// Template-level check: plan-backed MTIS vs the oracle for one pair.
 void CheckTemplateLevel(const UpdateTemplate& u, size_t u_index,
                         const QueryTemplate& q, size_t q_index,
-                        const TemplateInspectionStrategy& legacy_tis,
+                        const RederiveOracle& oracle,
                         const TemplateInspectionStrategy& plan_tis) {
-  UpdateView legacy_u{analysis::ExposureLevel::kTemplate, &u, nullptr};
-  CachedQueryView legacy_q{analysis::ExposureLevel::kTemplate, &q, nullptr};
-  UpdateView plan_u = legacy_u;
-  plan_u.template_index = u_index;
-  CachedQueryView plan_q = legacy_q;
-  plan_q.template_index = q_index;
-  EXPECT_EQ(legacy_tis.Decide(legacy_u, legacy_q),
-            plan_tis.Decide(plan_u, plan_q))
+  const UpdateView uv{analysis::ExposureLevel::kTemplate, &u, nullptr,
+                      u_index};
+  const CachedQueryView qv{analysis::ExposureLevel::kTemplate, &q, nullptr,
+                           nullptr, q_index};
+  EXPECT_EQ(oracle.TemplateLevel(uv, qv), plan_tis.Decide(uv, qv))
       << "MTIS mismatch on (" << u.id() << ", " << q.id() << ")";
 }
 
@@ -221,13 +218,9 @@ TEST(PlanDifferentialTest, WorkloadsBitIdenticalToLegacy) {
     // No paper-workload template may defeat the compiler.
     EXPECT_EQ(plan.Summarize().solver_fallback, 0u) << app_name;
 
-    const TemplateInspectionStrategy legacy_tis(catalog);
-    const TemplateInspectionStrategy plan_tis(
-        catalog, /*use_integrity_constraints=*/true, &plan);
-    const StatementInspectionStrategy legacy_sis(catalog);
-    const StatementInspectionStrategy plan_sis(
-        catalog, /*use_independence_solver=*/true,
-        /*use_integrity_constraints=*/true, &plan);
+    const RederiveOracle oracle(catalog);
+    const TemplateInspectionStrategy plan_tis(plan);
+    const StatementInspectionStrategy plan_sis(catalog, plan);
 
     // Cache per-template parameter types and a pool of bindings.
     std::vector<std::vector<catalog::ColumnType>> qtypes, utypes;
@@ -243,7 +236,7 @@ TEST(PlanDifferentialTest, WorkloadsBitIdenticalToLegacy) {
       const UpdateTemplate& u = templates.updates()[ui];
       for (size_t qi = 0; qi < templates.num_queries(); ++qi) {
         const QueryTemplate& q = templates.queries()[qi];
-        CheckTemplateLevel(u, ui, q, qi, legacy_tis, plan_tis);
+        CheckTemplateLevel(u, ui, q, qi, oracle, plan_tis);
         const PairPlan& pair_plan = plan.pair(ui, qi);
         for (int i = 0; i < kBindingsPerPair; ++i) {
           const sql::Statement us =
@@ -251,7 +244,41 @@ TEST(PlanDifferentialTest, WorkloadsBitIdenticalToLegacy) {
           const sql::Statement qs =
               q.Bind(RandomParams(rng, qtypes[qi], /*with_nulls=*/true));
           g_compared_pairs += CheckOnePair(pair_plan, u, ui, us, q, qi, qs,
-                                          catalog, legacy_sis, plan_sis);
+                                          catalog, oracle, plan_sis);
+        }
+      }
+    }
+
+    // A plan compiled without the Section 4.5 PK/FK rules must match the
+    // re-derivation without them, at template and at statement level.
+    InvalidationPlan::Options no_ic;
+    no_ic.use_integrity_constraints = false;
+    const InvalidationPlan plan_no_ic =
+        InvalidationPlan::Compile(templates, catalog, no_ic);
+    const RederiveOracle oracle_no_ic(catalog,
+                                      /*use_integrity_constraints=*/false);
+    const TemplateInspectionStrategy tis_no_ic(plan_no_ic);
+    const StatementInspectionStrategy sis_no_ic(catalog, plan_no_ic);
+    Rng no_ic_rng(20260806);
+    constexpr int kNoIcBindingsPerPair = 10;
+    for (size_t ui = 0; ui < templates.num_updates(); ++ui) {
+      const UpdateTemplate& u = templates.updates()[ui];
+      for (size_t qi = 0; qi < templates.num_queries(); ++qi) {
+        const QueryTemplate& q = templates.queries()[qi];
+        CheckTemplateLevel(u, ui, q, qi, oracle_no_ic, tis_no_ic);
+        for (int i = 0; i < kNoIcBindingsPerPair; ++i) {
+          const sql::Statement us = u.Bind(
+              RandomParams(no_ic_rng, utypes[ui], /*with_nulls=*/true));
+          const sql::Statement qs = q.Bind(
+              RandomParams(no_ic_rng, qtypes[qi], /*with_nulls=*/true));
+          const UpdateView uv{analysis::ExposureLevel::kStmt, &u, &us, ui};
+          const CachedQueryView qv{analysis::ExposureLevel::kStmt, &q, &qs,
+                                   nullptr, qi};
+          EXPECT_EQ(oracle_no_ic.StatementLevel(uv, qv),
+                    sis_no_ic.Decide(uv, qv))
+              << "MSIS (no integrity constraints) mismatch on (" << u.id()
+              << ", " << q.id() << ")\n  update: " << sql::ToSql(us)
+              << "\n  query:  " << sql::ToSql(qs);
         }
       }
     }
@@ -480,11 +507,11 @@ TEST(PlanDifferentialTest, RandomTemplatesBitIdenticalToLegacy) {
           u->Bind(RandomParams(rng, ut, /*with_nulls=*/true));
       const sql::Statement qs =
           q->Bind(RandomParams(rng, qt, /*with_nulls=*/true));
-      const bool legacy =
+      const bool solver =
           invalidation::ProvablyIndependent(*u, us, *q, qs, catalog);
       const bool compiled =
           PlanSaysIndependent(pair_plan, *u, us, *q, qs, catalog);
-      EXPECT_EQ(legacy, compiled)
+      EXPECT_EQ(solver, compiled)
           << "kind " << PlanKindName(pair_plan.kind) << " ["
           << pair_plan.rationale << "]\n  update tmpl: " << u->ToSql()
           << "\n  query tmpl:  " << q->ToSql()

@@ -32,7 +32,7 @@ class ScanOracle {
              const templates::TemplateSet& templates)
       : templates_(templates),
         plan_(analysis::InvalidationPlan::Compile(templates, catalog)),
-        strategy_(catalog, &plan_) {}
+        strategy_(catalog, plan_) {}
 
   QueryCache& cache() { return cache_; }
   uint64_t entries_invalidated() const { return entries_invalidated_; }
