@@ -1,9 +1,10 @@
-// Ablation: the pluggable home-backend subsystem — prepared-statement
-// cache, health-checked connection pool, and N-tenants-x-M-hosts topology.
+// Ablation: the pluggable home-backend subsystem — templates prepared once
+// at registration, health-checked connection pool, and N-tenants-x-M-hosts
+// topology.
 //
-// Part 1 (wall clock): the prepared-statement cache vs. prepare-per-call,
-// on the bookstore workload generator's own query mix. The measurement is
-// the execution stage — the part the cache changes: prepared-once replays
+// Part 1 (wall clock): prepared execution vs. prepare-per-call, on the
+// bookstore workload generator's own query mix. The measurement is the
+// execution stage — the part preparing changes: prepared-once replays
 // `QueryProgram::Execute` per query, prepare-per-call pays
 // `QueryProgram::Compile` + Execute every time. Results are checked
 // bit-identical between the two paths before anything is timed.
@@ -11,16 +12,17 @@
 // As in the vectorized-engine ablation, one gate template anchors the
 // release gate independent of the workload's data-dependent template mix:
 // an order-line-by-key read with the full row projected and two range
-// guards, the purest case of what the cache targets — the key equality is
+// guards, the purest case of what preparing targets — the key equality is
 // an index probe, so execution is O(1) while per-call compilation (five
-// output columns, three predicates) is the entire per-query cost the cache
-// removes. The workload mix is swept for coverage and reported by
-// access-path class (`point` = every FROM slot an index probe; scan-bound
-// templates spend their time in the shared scan on both sides and dilute
-// toward parity). The same mix is then driven end-to-end through
+// output columns, three predicates) is the entire per-query cost that
+// preparing once removes. The workload mix is swept for coverage and
+// reported by access-path class (`point` = every FROM slot an index probe;
+// scan-bound templates spend their time in the shared scan on both sides
+// and dilute toward parity). The same mix is then driven end-to-end through
 // `HandleQuery`, reporting the served rate once the shared
 // decrypt/parse/serialize pipeline is around the stage, plus the backend's
-// own statement-cache hit counter as evidence the cache actually engaged.
+// `program_queries` counter as evidence that the prepared programs served
+// the pass.
 //
 //   GATE 1  gate-probe prepared executed-query throughput
 //           >= 3x prepare-per-call.
@@ -68,16 +70,16 @@ using dssp::sim::Tenant;
 
 using Clock = std::chrono::steady_clock;
 
-constexpr double kCacheGate = 3.0;
+constexpr double kPrepareGate = 3.0;
 
 double Seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-// ----- Part 1: statement cache vs. prepare-per-call (wall clock). -----
+// ----- Part 1: prepared vs. prepare-per-call (wall clock). -----
 
-struct CacheMeasurement {
-  // Execution stage (what the cache changes): prepared replay vs.
+struct PrepareMeasurement {
+  // Execution stage (what preparing changes): prepared replay vs.
   // Compile+Execute per call. The synthetic single-row probe gates; the
   // workload mix is reported by access-path class for coverage.
   double gate_prepared_qps = 0;
@@ -93,15 +95,15 @@ struct CacheMeasurement {
   double scan_speedup = 0;
   uint64_t scan_ops = 0;
   // End-to-end HandleQuery (shared pipeline around the stage).
-  double e2e_cached_qps = 0;
+  double e2e_prepared_qps = 0;
   uint64_t distinct_templates = 0;
   uint64_t ops = 0;
-  uint64_t cache_hits = 0;  // Backend counter, e2e pass.
+  uint64_t prepared_executions = 0;  // Backend counter, e2e pass.
   HomeBackendStats final_stats;
 };
 
-CacheMeasurement MeasureStatementCache(double scale, double min_time) {
-  CacheMeasurement m;
+PrepareMeasurement MeasurePrepared(double scale, double min_time) {
+  PrepareMeasurement m;
 
   // Concrete SELECT instances from the workload's own generator: the query
   // mix (and its template skew) is the application's, not a synthetic one.
@@ -145,8 +147,8 @@ CacheMeasurement MeasureStatementCache(double scale, double min_time) {
   m.distinct_templates = seen.size();
   m.ops = ops.size();
 
-  // Prepare once per template — the cache's steady state — and check both
-  // paths bit-identical before timing anything.
+  // Prepare once per template, as the backend does at registration, and
+  // check both paths bit-identical before timing anything.
   std::vector<std::unique_ptr<dssp::engine::QueryProgram>> programs;
   for (const Op& op : ops) {
     if (op.index >= programs.size()) programs.resize(op.index + 1);
@@ -276,12 +278,8 @@ CacheMeasurement MeasureStatementCache(double scale, double min_time) {
                          : 0;
   }
 
-  // End-to-end through the backend; the hit counter proves the statement
-  // cache served the pass.
-  for (const Op& op : ops) {  // Warm the per-connection cache.
-    const auto warm = backend.HandleQuery(op.encrypted, true);
-    DSSP_CHECK(warm.ok());
-  }
+  // End-to-end through the backend; the program counter proves the
+  // prepared programs served the pass.
   {
     const HomeBackendStats before = backend.Stats();
     uint64_t execs = 0;
@@ -295,9 +293,9 @@ CacheMeasurement MeasureStatementCache(double scale, double min_time) {
       execs += ops.size();
       elapsed = Seconds(Clock::now() - start);
     }
-    m.e2e_cached_qps = static_cast<double>(execs) / elapsed;
-    m.cache_hits =
-        backend.Stats().statements.hits - before.statements.hits;
+    m.e2e_prepared_qps = static_cast<double>(execs) / elapsed;
+    m.prepared_executions =
+        backend.Stats().program_queries - before.program_queries;
   }
   m.final_stats = backend.Stats();
   return m;
@@ -316,7 +314,6 @@ struct SweepCell {
   uint64_t leases_queued = 0;
   double wait_s_total = 0;
   double wait_s_max = 0;
-  uint64_t catalogs_loaded = 0;
 };
 
 struct TenantSystem {
@@ -376,7 +373,6 @@ SweepCell RunCell(int num_tenants, int num_hosts, int pool_size,
   cell.leases_queued = result->pool_leases_queued;
   cell.wait_s_total = result->pool_wait_s_total;
   cell.wait_s_max = result->pool_wait_s_max;
-  cell.catalogs_loaded = result->catalogs_loaded;
   for (const dssp::sim::SimResult& tenant : result->tenants) {
     cell.failed_ops += tenant.failed_ops;
     cell.home_ops += tenant.home_queries + tenant.home_updates;
@@ -396,39 +392,39 @@ int main(int argc, char** argv) {
   const double scale = scale_flag != nullptr ? std::atof(scale_flag) : 0.5;
 
   std::printf(
-      "Ablation — home backend: statement cache + pooled hosts\n"
+      "Ablation — home backend: prepared programs + pooled hosts\n"
       "(scale %.2f, %.2fs per wall-clock measurement)\n\n",
       scale, min_time);
 
-  // Part 1: statement cache.
-  const CacheMeasurement cache = MeasureStatementCache(scale, min_time);
+  // Part 1: prepared programs.
+  const PrepareMeasurement prepared = MeasurePrepared(scale, min_time);
   std::printf(
-      "statement cache (bookstore mix: %llu ops over %llu templates; "
+      "prepared programs (bookstore mix: %llu ops over %llu templates; "
       "%llu point / %llu scan)\n",
-      static_cast<unsigned long long>(cache.ops),
-      static_cast<unsigned long long>(cache.distinct_templates),
-      static_cast<unsigned long long>(cache.point_ops),
-      static_cast<unsigned long long>(cache.scan_ops));
+      static_cast<unsigned long long>(prepared.ops),
+      static_cast<unsigned long long>(prepared.distinct_templates),
+      static_cast<unsigned long long>(prepared.point_ops),
+      static_cast<unsigned long long>(prepared.scan_ops));
   std::printf("  execution stage  %12s %12s %8s\n", "prepared q/s",
               "per-call q/s", "speedup");
   std::printf("  %-16s %12.0f %12.0f %7.1fx   <- gate (probe on %s)\n",
-              "gate-point", cache.gate_prepared_qps, cache.gate_per_call_qps,
-              cache.gate_speedup, cache.gate_table.c_str());
+              "gate-point", prepared.gate_prepared_qps, prepared.gate_per_call_qps,
+              prepared.gate_speedup, prepared.gate_table.c_str());
   std::printf("  %-16s %12.0f %12.0f %7.1fx\n", "mix: point",
-              cache.point_prepared_qps, cache.point_per_call_qps,
-              cache.point_speedup);
+              prepared.point_prepared_qps, prepared.point_per_call_qps,
+              prepared.point_speedup);
   std::printf("  %-16s %12.0f %12.0f %7.1fx\n", "mix: scan",
-              cache.scan_prepared_qps, cache.scan_per_call_qps,
-              cache.scan_speedup);
+              prepared.scan_prepared_qps, prepared.scan_per_call_qps,
+              prepared.scan_speedup);
   std::printf("  end-to-end HandleQuery   %12s\n", "queries/s");
-  std::printf("  %-24s %12.0f   (cache hits: %llu)\n", "cache on",
-              cache.e2e_cached_qps,
-              static_cast<unsigned long long>(cache.cache_hits));
+  std::printf("  %-24s %12.0f   (prepared executions: %llu)\n", "prepared",
+              prepared.e2e_prepared_qps,
+              static_cast<unsigned long long>(prepared.prepared_executions));
   std::printf("  program/interpreter split: %llu/%llu\n\n",
               static_cast<unsigned long long>(
-                  cache.final_stats.program_queries),
+                  prepared.final_stats.program_queries),
               static_cast<unsigned long long>(
-                  cache.final_stats.interpreter_fallback_queries));
+                  prepared.final_stats.interpreter_fallback_queries));
 
   // Part 2: topology sweep.
   std::printf(
@@ -462,27 +458,27 @@ int main(int argc, char** argv) {
       saturated = &cell;
     }
   }
-  const bool cache_gate_ok = cache.gate_speedup >= kCacheGate;
+  const bool prepare_gate_ok = prepared.gate_speedup >= kPrepareGate;
   const bool backpressure_gate_ok = total_failed == 0 &&
                                     saturated != nullptr &&
                                     saturated->leases_queued > 0;
 
   std::printf(
-      "\nInterpretation: the statement cache moves QueryProgram::Compile\n"
-      "off the per-query path — each connection compiles a template once\n"
-      "and replays the program thereafter. The gate probe executes in\n"
-      "O(1), so removing per-call compilation is the whole win and it\n"
-      "carries the gate; the workload mix dilutes with each template's\n"
-      "execution weight (scan-bound templates spend their time in the\n"
-      "scan on both sides). The end-to-end row adds the\n"
+      "\nInterpretation: preparing moves QueryProgram::Compile off the\n"
+      "per-query path — the backend compiles each template once, at\n"
+      "registration, and every connection replays that program. The gate\n"
+      "probe executes in O(1), so removing per-call compilation is the\n"
+      "whole win and it carries the gate; the workload mix dilutes with\n"
+      "each template's execution weight (scan-bound templates spend their\n"
+      "time in the scan on both sides). The end-to-end row adds the\n"
       "decrypt/parse/serialize pipeline around the stage.\n"
       "The pool turns an undersized host into queueing delay (visible\n"
       "above as queued leases and wait seconds at pool=1) rather than\n"
       "failed operations: every cell, including the fully saturated one,\n"
       "completes with zero failures.\n\n");
-  std::printf("gate: stmt cache probe >= %.1fx   %s (measured %.1fx)\n",
-              kCacheGate, cache_gate_ok ? "PASS" : "FAIL",
-              cache.gate_speedup);
+  std::printf("gate: prepared probe >= %.1fx   %s (measured %.1fx)\n",
+              kPrepareGate, prepare_gate_ok ? "PASS" : "FAIL",
+              prepared.gate_speedup);
   std::printf(
       "gate: saturation = backpressure  %s (failed ops %llu, saturated-cell "
       "queued leases %llu)\n",
@@ -492,26 +488,26 @@ int main(int argc, char** argv) {
           saturated != nullptr ? saturated->leases_queued : 0));
 
   if (json_path != nullptr) {
-    dssp::bench::JsonObject cache_doc;
-    cache_doc.Set("gate_prepared_qps", cache.gate_prepared_qps);
-    cache_doc.Set("gate_per_call_qps", cache.gate_per_call_qps);
-    cache_doc.Set("gate_speedup", cache.gate_speedup);
-    cache_doc.Set("gate_table", cache.gate_table);
-    cache_doc.Set("point_prepared_qps", cache.point_prepared_qps);
-    cache_doc.Set("point_per_call_qps", cache.point_per_call_qps);
-    cache_doc.Set("point_speedup", cache.point_speedup);
-    cache_doc.Set("point_ops", cache.point_ops);
-    cache_doc.Set("scan_prepared_qps", cache.scan_prepared_qps);
-    cache_doc.Set("scan_per_call_qps", cache.scan_per_call_qps);
-    cache_doc.Set("scan_speedup", cache.scan_speedup);
-    cache_doc.Set("scan_ops", cache.scan_ops);
-    cache_doc.Set("e2e_cached_qps", cache.e2e_cached_qps);
-    cache_doc.Set("ops", cache.ops);
-    cache_doc.Set("distinct_templates", cache.distinct_templates);
-    cache_doc.Set("cache_hits", cache.cache_hits);
-    cache_doc.Set("program_queries", cache.final_stats.program_queries);
-    cache_doc.Set("interpreter_fallback_queries",
-                  cache.final_stats.interpreter_fallback_queries);
+    dssp::bench::JsonObject prepared_doc;
+    prepared_doc.Set("gate_prepared_qps", prepared.gate_prepared_qps);
+    prepared_doc.Set("gate_per_call_qps", prepared.gate_per_call_qps);
+    prepared_doc.Set("gate_speedup", prepared.gate_speedup);
+    prepared_doc.Set("gate_table", prepared.gate_table);
+    prepared_doc.Set("point_prepared_qps", prepared.point_prepared_qps);
+    prepared_doc.Set("point_per_call_qps", prepared.point_per_call_qps);
+    prepared_doc.Set("point_speedup", prepared.point_speedup);
+    prepared_doc.Set("point_ops", prepared.point_ops);
+    prepared_doc.Set("scan_prepared_qps", prepared.scan_prepared_qps);
+    prepared_doc.Set("scan_per_call_qps", prepared.scan_per_call_qps);
+    prepared_doc.Set("scan_speedup", prepared.scan_speedup);
+    prepared_doc.Set("scan_ops", prepared.scan_ops);
+    prepared_doc.Set("e2e_prepared_qps", prepared.e2e_prepared_qps);
+    prepared_doc.Set("ops", prepared.ops);
+    prepared_doc.Set("distinct_templates", prepared.distinct_templates);
+    prepared_doc.Set("prepared_executions", prepared.prepared_executions);
+    prepared_doc.Set("program_queries", prepared.final_stats.program_queries);
+    prepared_doc.Set("interpreter_fallback_queries",
+                  prepared.final_stats.interpreter_fallback_queries);
 
     std::vector<dssp::bench::JsonObject> rows;
     for (const SweepCell& cell : cells) {
@@ -525,7 +521,6 @@ int main(int argc, char** argv) {
       row.Set("leases_queued", cell.leases_queued);
       row.Set("wait_s_total", cell.wait_s_total);
       row.Set("wait_s_max", cell.wait_s_max);
-      row.Set("catalogs_loaded", cell.catalogs_loaded);
       row.Set("failed_ops", cell.failed_ops);
       rows.push_back(std::move(row));
     }
@@ -534,12 +529,12 @@ int main(int argc, char** argv) {
     doc.Set("experiment", "home_backend");
     doc.Set("scale", scale);
     doc.Set("min_time_s", min_time);
-    doc.Set("cache_gate", kCacheGate);
-    doc.Set("cache_gate_pass", cache_gate_ok);
+    doc.Set("prepare_gate", kPrepareGate);
+    doc.Set("prepare_gate_pass", prepare_gate_ok);
     doc.Set("backpressure_gate_pass", backpressure_gate_ok);
-    doc.SetRaw("statement_cache", cache_doc.ToString());
+    doc.SetRaw("prepared", prepared_doc.ToString());
     doc.SetRaw("sweep", dssp::bench::JsonArray(rows));
     dssp::bench::WriteJsonFile(json_path, doc);
   }
-  return cache_gate_ok && backpressure_gate_ok ? 0 : 1;
+  return prepare_gate_ok && backpressure_gate_ok ? 0 : 1;
 }

@@ -591,18 +591,6 @@ AuditReport AuditApplication(const templates::TemplateSet& templates,
         "query template does not compile to a vectorized program: every home "
         "server miss for " + q.id() + " runs the row-at-a-time interpreter",
         program.status().message());
-    // The same compile failure also means the template can never be
-    // server-side prepared: the home backend's per-connection statement
-    // cache stores compiled QueryPrograms, so this template misses it on
-    // every execution. Reported separately because the remedies differ
-    // (UNPLANNED is about per-row execution cost, UNPREPARED about paying
-    // parse/plan on every call even on a warm connection).
-    Add(f, AuditLens::kPerformance, AuditSeverity::kInfo,
-        "PERF-UNPREPARED-TEMPLATE", q.id(),
-        "query template cannot be prepared: with no compiled program, " +
-            q.id() + " misses the home backend's prepared-statement cache "
-            "on every execution",
-        program.status().message());
   }
 
   // --- Exposure-dependent checks (security lens + blind updates) -----------

@@ -26,11 +26,10 @@ ConnectionPool::ConnectionPool(PoolOptions options)
   DSSP_CHECK_OK(options_.Validate());
   connections_.reserve(static_cast<size_t>(options_.size));
   for (int i = 0; i < options_.size; ++i) {
-    connections_.push_back(std::make_unique<PooledConnection>(
-        i, options_.statement_cache_capacity));
+    connections_.push_back(std::make_unique<PooledConnection>(i));
   }
   // LIFO stack with connection 0 on top: the uncontended synchronous path
-  // always reuses the warmest statement cache.
+  // always runs on connection 0.
   MutexLock lock(mu_);
   for (int i = options_.size - 1; i >= 0; --i) {
     free_.push_back(connections_[static_cast<size_t>(i)].get());
@@ -56,9 +55,6 @@ void ConnectionPool::MaybeProbe(PooledConnection& conn) {
     return;
   }
   ++probe_failures_;
-  // Reconnect: the new connection has no prepared statements.
-  conn.statements_.Clear();
-  ++conn.generation_;
   ++connections_recycled_;
   if (++consecutive_probe_failures_ >= options_.suspect_after) {
     suspect_ = true;
@@ -118,19 +114,6 @@ void ConnectionPool::SetProber(HealthProber* prober) {
 bool ConnectionPool::suspect() const {
   MutexLock lock(mu_);
   return suspect_;
-}
-
-StatementCacheStats ConnectionPool::statement_stats() const {
-  StatementCacheStats out;
-  for (const auto& conn : connections_) {
-    const StatementCache::Counters c = conn->statements().counters();
-    out.hits += c.hits;
-    out.misses += c.misses;
-    out.evictions += c.evictions;
-    out.invalidations += c.invalidations;
-    out.entries += conn->statements().size();
-  }
-  return out;
 }
 
 PoolStats ConnectionPool::Stats() const {

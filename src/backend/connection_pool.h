@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "backend/home_backend.h"
-#include "backend/statement_cache.h"
 #include "common/mutex.h"
 #include "common/queueing.h"
 #include "common/status.h"
@@ -26,9 +25,6 @@ class HealthProber {
 struct PoolOptions {
   int size = 8;  // Bounded number of connections.
 
-  // Per-connection prepared-statement cap (0 = unlimited).
-  size_t statement_cache_capacity = 256;
-
   // Virtual-time admission (Admit): a queued wait longer than this counts a
   // lease timeout — the overload signal — while the request still drains
   // FIFO (backpressure, never a drop). 0 = no deadline.
@@ -40,8 +36,7 @@ struct PoolOptions {
 
   // Health probing: probe a connection every `probe_every` leases (0 = off).
   // `suspect_after` consecutive failures mark the pool suspect; any success
-  // resets the count. A failed probe recycles the connection (its prepared
-  // statements are lost, as on a real reconnect).
+  // resets the count. A failed probe recycles the connection.
   uint64_t probe_every = 0;
   int suspect_after = 3;
 
@@ -49,25 +44,19 @@ struct PoolOptions {
   Status Validate() const;
 };
 
-// One pooled home-database connection. Leased exclusively; carries its own
-// prepared-statement cache (statements are connection-scoped, like a real
-// DBMS).
+// One pooled home-database connection, leased exclusively. It holds no
+// per-connection state beyond its lease cadence: every connection executes
+// the backend's shared prepared programs.
 class PooledConnection {
  public:
-  PooledConnection(int id, size_t statement_capacity)
-      : id_(id), statements_(statement_capacity) {}
+  explicit PooledConnection(int id) : id_(id) {}
 
   int id() const { return id_; }
-  StatementCache& statements() { return statements_; }
-  const StatementCache& statements() const { return statements_; }
 
  private:
   friend class ConnectionPool;
   int id_;
-  StatementCache statements_;
-  // Owned by the pool's mutex (lease cadence, health).
-  uint64_t leases_ = 0;
-  uint64_t generation_ = 0;  // Bumped on recycle.
+  uint64_t leases_ = 0;  // Owned by the pool's mutex (probe cadence).
 };
 
 // A bounded, health-checked pool of home-database connections with two
@@ -82,16 +71,17 @@ class PooledConnection {
 //    service.
 //
 // Health: every probe_every leases a connection's wire is probed through
-// the configured HealthProber; a failure recycles the connection (dropping
-// its prepared statements) and suspect_after consecutive failures mark the
-// pool suspect. Suspicion is advisory — the pool keeps serving (the home
-// database is the sole source of truth; refusing work would lose updates).
+// the configured HealthProber; a failure recycles the connection and
+// suspect_after consecutive failures mark the pool suspect. Suspicion is
+// advisory — the pool keeps serving (the home database is the sole source
+// of truth; refusing work would lose updates).
 class ConnectionPool {
  public:
   explicit ConnectionPool(PoolOptions options);
 
   // RAII lease over one connection. Move-only; releasing returns the
-  // connection to the free stack (LIFO, to maximize statement-cache reuse).
+  // connection to the free stack (LIFO: uncontended traffic always runs on
+  // connection 0).
   class Lease {
    public:
     Lease(Lease&& other) noexcept
@@ -137,17 +127,10 @@ class ConnectionPool {
   // Health verdict from the probe machinery.
   bool suspect() const;
 
-  // Sum of every connection's statement-cache counters plus live entries.
-  StatementCacheStats statement_stats() const;
-
   PoolStats Stats() const;
 
   const PoolOptions& options() const { return options_; }
   int size() const { return static_cast<int>(connections_.size()); }
-
-  // Test/bench hook: the connection by index (no lease; do not execute on
-  // it concurrently with pool traffic).
-  PooledConnection& connection(int i) { return *connections_[static_cast<size_t>(i)]; }
 
  private:
   // Runs a health probe for `conn` if its lease cadence says so. Called

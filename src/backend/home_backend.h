@@ -17,8 +17,8 @@ namespace dssp::backend {
 // The paper's DSSP fronts the home organization's database over a narrow
 // wire protocol (Figure 2): encrypted statements go in, (possibly encrypted)
 // result blobs come out. Everything the provider side knows about the home
-// tier goes through this interface — connection leasing, the prepared-
-// statement lifecycle, update application, and catalog/statistics queries —
+// tier goes through this interface — connection leasing, query execution,
+// update application, and catalog/statistics queries —
 // so a real DBMS, a remote replica, or the in-process reference engine
 // (InMemoryBackend) are interchangeable behind it.
 //
@@ -28,15 +28,13 @@ namespace dssp::backend {
 // material) lives on the concrete backend.
 // ---------------------------------------------------------------------------
 
-// Prepared-statement cache counters. Statements are prepared once per
-// (connection, template) and reused; a recycled connection loses its
-// prepared statements, exactly as a real DBMS connection would.
+// Prepared-program counters. Each compilable query template is prepared
+// (compiled to its QueryProgram) exactly once, at registration, and every
+// pooled connection executes that one immutable program.
 struct StatementCacheStats {
-  uint64_t hits = 0;         // Executions served by a cached prepared program.
-  uint64_t misses = 0;       // Executions that had to prepare first.
-  uint64_t evictions = 0;    // Prepared statements dropped by the LRU cap.
-  uint64_t invalidations = 0;  // Dropped by DDL/registration invalidation.
-  size_t entries = 0;        // Live prepared statements, all connections.
+  uint64_t hits = 0;    // Executions served by a prepared program.
+  uint64_t misses = 0;  // Prepares: one per compilable template.
+  size_t entries = 0;   // Prepared programs held.
 
   double hit_rate() const {
     const uint64_t total = hits + misses;
@@ -62,17 +60,8 @@ struct PoolStats {
   bool suspect = false;          // Health-probe verdict (see PoolOptions).
 };
 
-// Metadata/statistics cache counters.
-struct MetadataCacheStats {
-  uint64_t loads = 0;          // Statistics passes actually run.
-  uint64_t hits = 0;           // Served from the cache within TTL.
-  uint64_t expirations = 0;    // Entries refused because their TTL lapsed.
-  uint64_t invalidations = 0;  // Entries dropped by explicit invalidation.
-  size_t entries = 0;
-};
-
-// One table's cached metadata/statistics snapshot (what a real DSSP would
-// fetch from information_schema + ANALYZE output).
+// One table's metadata/statistics snapshot (what a real DSSP would fetch
+// from information_schema + ANALYZE output).
 struct TableMetadata {
   std::string table;
   std::vector<std::string> columns;
@@ -95,15 +84,10 @@ struct HomeBackendStats {
   uint64_t program_queries = 0;
   uint64_t interpreter_fallback_queries = 0;
 
-  // Lazy per-tenant catalog: of `tables_total` registered tables, only the
-  // ones a registered template actually touches are materialized.
-  size_t tables_touched = 0;
-  size_t tables_total = 0;
-  uint64_t catalog_loads = 0;  // Times the touched-table set was materialized.
+  size_t tables_total = 0;  // Tables in the catalog.
 
   StatementCacheStats statements;
   PoolStats pool;
-  MetadataCacheStats metadata;
 };
 
 class HomeBackend {
@@ -114,9 +98,10 @@ class HomeBackend {
 
   // Wire entry points (what service::DispatchFrame calls). `ciphertext` is a
   // statement encrypted under the application's statement cipher; the
-  // backend decrypts, leases a connection, executes via the prepared-
-  // statement cache, and (for queries) returns the serialized result,
-  // encrypted under the result cipher unless `plaintext_result`.
+  // backend decrypts, leases a connection, executes (a query through its
+  // template's prepared program when one matches), and (for queries)
+  // returns the serialized result, encrypted under the result cipher unless
+  // `plaintext_result`.
   //
   // A nonzero update `nonce` enables at-most-once semantics: a retried or
   // transport-duplicated update frame returns the stored effect instead of
@@ -131,15 +116,12 @@ class HomeBackend {
   virtual Status Ping() = 0;
 
   // --- Catalog / statistics queries -------------------------------------
-  // Served from the TTL'd metadata cache; a statistics pass runs at most
-  // once per table per TTL window unless DDL or template registration
-  // explicitly invalidates. Only tables a registered template touches are
-  // ever materialized (lazy per-tenant catalog loading).
+  // Each DescribeTable call computes a fresh snapshot, so it is never stale.
   virtual std::vector<std::string> TableNames() const = 0;
   virtual StatusOr<TableMetadata> DescribeTable(std::string_view table) = 0;
 
-  // Advances the backend's virtual clock (TTL reference). Monotone: moving
-  // backwards is ignored.
+  // Advances the backend's virtual clock (what DescribeTable stamps into
+  // `computed_at_s`). Monotone: moving backwards is ignored.
   virtual void Tick(double now_s) = 0;
 
   virtual HomeBackendStats Stats() const = 0;

@@ -1,8 +1,6 @@
 #ifndef DSSP_BACKEND_HOST_H_
 #define DSSP_BACKEND_HOST_H_
 
-#include <atomic>
-#include <cstdint>
 #include <vector>
 
 #include "backend/connection_pool.h"
@@ -40,20 +38,10 @@ class BackendHost {
     return tenants_;
   }
 
-  // Lazy-catalog accounting across attached tenants: each tenant reports
-  // when it first materializes its touched-table set.
-  void NoteCatalogLoad() {
-    catalogs_loaded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t catalogs_loaded() const {
-    return catalogs_loaded_.load(std::memory_order_relaxed);
-  }
-
  private:
   ConnectionPool pool_;
   mutable Mutex mu_;
   std::vector<InMemoryBackend*> tenants_ DSSP_GUARDED_BY(mu_);
-  std::atomic<uint64_t> catalogs_loaded_{0};
 };
 
 }  // namespace dssp::backend

@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <set>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -11,12 +11,12 @@
 
 #include "backend/connection_pool.h"
 #include "backend/home_backend.h"
-#include "backend/metadata_cache.h"
 #include "common/mutex.h"
 #include "common/nonce_window.h"
 #include "common/status.h"
 #include "crypto/keyring.h"
 #include "engine/database.h"
+#include "engine/program.h"
 #include "templates/template_set.h"
 
 namespace dssp::backend {
@@ -25,27 +25,19 @@ class BackendHost;
 
 struct BackendOptions {
   PoolOptions pool;
-  // TTL of metadata/statistics snapshots, simulated seconds (0 = explicit
-  // invalidation only).
-  double metadata_ttl_s = 60.0;
 };
 
 // An application's home server — the reference HomeBackend: the master
 // database (in-memory engine), the template sets, and the application's
 // keys. All statements arrive encrypted (Figure 2: the DSSP forwards opaque
-// blobs); the backend decrypts, leases a pooled connection, executes through
-// that connection's prepared-statement cache, and encrypts results when the
-// caller asks for an opaque reply.
+// blobs); the backend decrypts, leases a pooled connection, executes, and
+// encrypts results when the caller asks for an opaque reply.
 //
-// Production scaffolding over the bare engine:
-//  - a bounded, health-checked connection pool (private by default; shared
-//    with co-hosted tenants when attached to a BackendHost);
-//  - a prepared-statement cache per connection: a template is compiled to
-//    its QueryProgram once per (connection, template) and reused;
-//  - a TTL'd metadata/statistics cache, explicitly invalidated on DDL and
-//    template registration;
-//  - lazy catalog loading: only tables a registered template touches are
-//    materialized into the metadata layer.
+// Each query template is prepared once, at registration: compiled to an
+// immutable QueryProgram that every pooled connection executes. The pool
+// (private by default; shared with co-hosted tenants when attached to a
+// BackendHost) is bounded and health-checked; it models queueing and fault
+// detection, not connection-scoped state.
 class InMemoryBackend : public HomeBackend {
  public:
   InMemoryBackend(std::string app_id, crypto::KeyRing keyring,
@@ -58,10 +50,9 @@ class InMemoryBackend : public HomeBackend {
   engine::Database& database() { return database_; }
   const engine::Database& database() const { return database_; }
 
-  // Registers templates (ids auto-assigned "Q<k>" / "U<k>"). Registration
-  // explicitly invalidates the metadata cache and this tenant's prepared
-  // statements on every pooled connection: the set of tables that matter —
-  // and every server-side plan — may have changed.
+  // Registers templates (ids auto-assigned "Q<k>" / "U<k>"). A query
+  // template is prepared here, once. Programs prepared earlier stay valid:
+  // compiling reads only the catalog, and a program never changes after.
   Status AddQueryTemplate(std::string_view sql);
   Status AddUpdateTemplate(std::string_view sql);
   const templates::TemplateSet& templates() const { return templates_; }
@@ -119,33 +110,18 @@ class InMemoryBackend : public HomeBackend {
   // pool sized by BackendOptions.
   ConnectionPool& pool();
   const ConnectionPool& pool() const;
-  MetadataCache& metadata() { return metadata_; }
 
-  // Joins a host (shared pool + per-host accounting). Call during setup,
+  // Joins a host (its shared pool). Call during setup,
   // before traffic; a backend belongs to at most one host.
   void AttachHost(BackendHost* host);
   BackendHost* host() const { return host_; }
 
-  // Lazy catalog state (introspection for tests and the ablation).
-  bool catalog_loaded() const {
-    return catalog_loaded_.load(std::memory_order_acquire);
-  }
-  // Tables any registered template touches; loaded on first use.
-  std::set<std::string> TouchedTables() const;
-
  private:
-  // Executes a parsed, fully-bound query on a leased connection: via the
-  // connection's prepared statement for the matching template when one
-  // exists, else the reference interpreter.
-  StatusOr<engine::QueryResult> ExecuteParsedQuery(const sql::Statement& stmt,
-                                                   PooledConnection& conn);
+  // Executes a parsed, fully-bound query: via the prepared program of the
+  // matching template when one exists, else the reference interpreter.
+  StatusOr<engine::QueryResult> ExecuteParsedQuery(const sql::Statement& stmt);
 
-  // First-use catalog materialization: computes the touched-table set from
-  // the registered templates and warms the metadata cache for exactly those
-  // tables. Re-runs after template registration or observed DDL.
-  void EnsureCatalogLoaded();
-
-  // Builds a fresh statistics snapshot for `table` (assumed to exist).
+  // Builds a fresh statistics snapshot for `schema`.
   TableMetadata ComputeMetadata(const catalog::TableSchema& schema) const;
 
   double now_s() const { return now_s_.load(std::memory_order_relaxed); }
@@ -157,18 +133,15 @@ class InMemoryBackend : public HomeBackend {
   const crypto::DeterministicCipher result_cipher_;
   engine::Database database_;
   templates::TemplateSet templates_;
-  BackendOptions options_;
 
   ConnectionPool private_pool_;
   BackendHost* host_ = nullptr;
-  MetadataCache metadata_;
 
-  // Whether each registered query template compiles to a QueryProgram
-  // (decided once at registration; prepare-time compiles of a compilable
-  // template cannot fail). Shape key -> candidate template indexes.
-  // Setup-phase state like templates_: mutated only by AddQueryTemplate,
-  // read without locks by HandleQuery.
-  std::vector<bool> compilable_;
+  // Each query template's prepared program, or nullopt when the program
+  // compiler rejects it (the interpreter serves that template). Shape key
+  // -> candidate template indexes. Setup-phase state like templates_:
+  // mutated only by AddQueryTemplate, read without locks by HandleQuery.
+  std::vector<std::optional<engine::QueryProgram>> programs_;
   std::unordered_map<std::string, std::vector<size_t>> shape_to_queries_;
 
   std::atomic<uint64_t> updates_applied_{0};
@@ -176,16 +149,7 @@ class InMemoryBackend : public HomeBackend {
   std::atomic<uint64_t> duplicates_suppressed_{0};
   std::atomic<uint64_t> program_queries_{0};
   std::atomic<uint64_t> interpreter_fallback_queries_{0};
-  std::atomic<uint64_t> catalog_loads_{0};
   std::atomic<double> now_s_{0};
-
-  // Lazy-catalog state. catalog_loaded_ is the fast-path gate (acquire /
-  // release pairs with catalog_mu_); touched_tables_ and the table count the
-  // last load observed are guarded by catalog_mu_.
-  std::atomic<bool> catalog_loaded_{false};
-  mutable Mutex catalog_mu_;
-  std::set<std::string> touched_tables_ DSSP_GUARDED_BY(catalog_mu_);
-  size_t observed_num_tables_ DSSP_GUARDED_BY(catalog_mu_) = 0;
 
   // Nonce -> applied effect. The mutex also serializes the apply of
   // nonce-carrying updates so a concurrent retry of the same nonce cannot

@@ -20,9 +20,11 @@
     }                                                                        \
   } while (0)
 
+// The status is copied: `expr` may name a member of a temporary (as in
+// `DSSP_CHECK_OK(f().status())`) that dies at the end of the declaration.
 #define DSSP_CHECK_OK(expr)                                                  \
   do {                                                                       \
-    const auto& dssp_check_ok_status = (expr);                               \
+    const auto dssp_check_ok_status = (expr);                                \
     if (!dssp_check_ok_status.ok()) {                                        \
       std::fprintf(stderr, "DSSP_CHECK_OK failed at %s:%d: %s\n", __FILE__,  \
                    __LINE__, dssp_check_ok_status.message().c_str());        \

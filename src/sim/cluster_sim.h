@@ -75,7 +75,6 @@ struct ClusterSimResult {
   uint64_t pool_lease_timeouts = 0;  // Waits past topology.lease_deadline_s.
   double pool_wait_s_total = 0;      // Simulated seconds spent queued.
   double pool_wait_s_max = 0;        // Worst single queued wait.
-  uint64_t catalogs_loaded = 0;  // Lazy per-tenant catalog materializations.
 };
 
 // The multi-tenant discrete-event simulation, re-pointed at a cluster: the

@@ -129,8 +129,7 @@ StatusOr<ClusterSimResult> Simulate(cluster::ClusterRouter* router,
     states.push_back(std::make_unique<TenantState>(tenants[t]));
     states.back()->host = t % num_hosts;
     // The functional layer joins the host too: co-hosted tenants execute on
-    // the same pooled connections (shared prepared-statement caches keyed by
-    // tenant identity), not just the same timing resource.
+    // the same pooled connections, not just the same timing resource.
     restorer.Save(&tenants[t].app->home());
     hosts[states.back()->host]->AttachTenant(&tenants[t].app->home());
     for (int c = 0; c < tenants[t].num_clients; ++c) {
@@ -374,7 +373,6 @@ StatusOr<ClusterSimResult> Simulate(cluster::ClusterRouter* router,
     cluster_result.pool_wait_s_total += pool.total_wait_s;
     cluster_result.pool_wait_s_max =
         std::max(cluster_result.pool_wait_s_max, pool.max_wait_s);
-    cluster_result.catalogs_loaded += host->catalogs_loaded();
   }
   return cluster_result;
 }

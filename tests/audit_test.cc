@@ -253,24 +253,28 @@ TEST(AuditPerformance, UnplannedQueryInfoForUncompilableTemplate) {
   EXPECT_EQ(Find(report, "PERF-UNPLANNED-QUERY", "Q2"), nullptr);
 }
 
-TEST(AuditPerformance, UnpreparedTemplateInfoForUncompilableTemplate) {
+TEST(AuditPerformance, UncompilableTemplateIsReportedOnce) {
   const catalog::Catalog catalog = TestCatalog();
-  // A template with no compiled program can never be server-side prepared:
-  // every execution misses the prepared-statement cache. Q2 compiles (and
-  // so prepares once per connection) and must not be reported.
+  // A template with no compiled program runs the interpreter on every
+  // execution; the home backend has nothing else to prepare, so the compile
+  // failure yields exactly one finding, PERF-UNPLANNED-QUERY.
   const TemplateSet set = MakeTemplates(
       catalog,
       {"SELECT * FROM t1 WHERE c = 5 AND a = ?",
        "SELECT * FROM t1 WHERE a = ?"},
       {});
   const AuditReport report = AuditApplication(set, catalog);
-  const AuditFinding* finding = Find(report, "PERF-UNPREPARED-TEMPLATE", "Q1");
+  const AuditFinding* finding = Find(report, "PERF-UNPLANNED-QUERY", "Q1");
   ASSERT_NE(finding, nullptr);
   EXPECT_EQ(finding->severity, AuditSeverity::kInfo);
   EXPECT_EQ(finding->lens, AuditLens::kPerformance);
-  EXPECT_NE(finding->message.find("prepared-statement cache"),
-            std::string::npos);
-  EXPECT_EQ(Find(report, "PERF-UNPREPARED-TEMPLATE", "Q2"), nullptr);
+  EXPECT_EQ(std::count_if(report.findings.begin(), report.findings.end(),
+                          [](const AuditFinding& f) {
+                            return f.subject == "Q1" &&
+                                   f.lens == AuditLens::kPerformance;
+                          }),
+            1);
+  EXPECT_EQ(Find(report, "PERF-UNPLANNED-QUERY", "Q2"), nullptr);
 }
 
 TEST(AuditPerformance, BlindUpdateWarning) {
@@ -431,10 +435,9 @@ TEST(AuditWorkloads, MethodologyExposureAuditsWithZeroErrors) {
     EXPECT_FALSE(HasCode(report, "SEC-OVEREXPOSED")) << name;
     EXPECT_FALSE(HasCode(report, "SEC-SENSITIVE-EXPOSED")) << name;
     // Every paper-workload query template compiles to a vectorized
-    // program: the home servers never fall back to the interpreter, and
-    // every template is preparable (no permanent statement-cache misses).
+    // program: the home servers prepare every template and never fall back
+    // to the interpreter.
     EXPECT_FALSE(HasCode(report, "PERF-UNPLANNED-QUERY")) << name;
-    EXPECT_FALSE(HasCode(report, "PERF-UNPREPARED-TEMPLATE")) << name;
   }
 }
 

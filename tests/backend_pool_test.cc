@@ -191,11 +191,11 @@ TEST(ConnectionPoolHealth, ProbeFailuresMarkSuspectAndRecycle) {
   EXPECT_EQ(stats.connections_recycled, 3u);
   EXPECT_TRUE(stats.suspect);  // 3 consecutive failures >= suspect_after.
 
-  // A recycled connection lost its prepared statements: every query had to
-  // re-prepare (the probe fires before execution on each lease).
-  const StatementCacheStats statements = backend->pool().statement_stats();
-  EXPECT_EQ(statements.hits, 0u);
-  EXPECT_EQ(statements.misses, 3u);
+  // Recycling drops no prepared program: the template was prepared once,
+  // at registration, and every query after a recycle still executed it.
+  const StatementCacheStats statements = backend->Stats().statements;
+  EXPECT_EQ(statements.hits, 3u);
+  EXPECT_EQ(statements.misses, 1u);
 }
 
 TEST(ConnectionPoolHealth, CleanWireNeverSuspectsAndKeepsStatements) {
@@ -223,9 +223,9 @@ TEST(ConnectionPoolHealth, CleanWireNeverSuspectsAndKeepsStatements) {
   // never as queries on the backend.
   EXPECT_EQ(backend->queries_executed(), 3u);
 
-  const StatementCacheStats statements = backend->pool().statement_stats();
-  EXPECT_EQ(statements.misses, 1u);  // Prepared once, reused twice.
-  EXPECT_EQ(statements.hits, 2u);
+  const StatementCacheStats statements = backend->Stats().statements;
+  EXPECT_EQ(statements.misses, 1u);  // Prepared once, executed three times.
+  EXPECT_EQ(statements.hits, 3u);
 }
 
 TEST(ConnectionPoolHealth, SeededPartialLossIsReproducible) {
@@ -267,8 +267,7 @@ TEST(ConnectionPoolHealth, SeededPartialLossIsReproducible) {
 // ----- Concurrency soak: zero lost updates under churn ---------------------
 
 // Four writer threads hammer a 2-connection pool while every lease probes a
-// lossy wire (recycling connections and dropping prepared statements along
-// the way). Each thread owns a disjoint key range and retries a slice of its
+// lossy wire (recycling connections along the way). Each thread owns a disjoint key range and retries a slice of its
 // updates with the same nonce. Afterwards the database must hold exactly the
 // last value each thread wrote (the oracle), every distinct update applied
 // exactly once.
@@ -359,13 +358,14 @@ TEST(ConnectionPoolSoak, ZeroLostUpdatesUnderProbeChurn) {
 
 // ----- Shared host pool ----------------------------------------------------
 
-TEST(BackendHostTest, TenantsShareOnePoolAndStatementCachesStaySeparate) {
+TEST(BackendHostTest, TenantsShareOnePoolAndPrepareOnlyTheirOwnTemplates) {
   PoolOptions pool_options;
   pool_options.size = 1;
   BackendHost host(pool_options);
 
   auto alpha = MakeKvBackend();
   auto beta = MakeKvBackend();
+  ASSERT_TRUE(beta->AddQueryTemplate("SELECT id FROM kv WHERE val = ?").ok());
   host.AttachTenant(alpha.get());
   host.AttachTenant(beta.get());
   EXPECT_EQ(host.num_tenants(), 2u);
@@ -379,15 +379,18 @@ TEST(BackendHostTest, TenantsShareOnePoolAndStatementCachesStaySeparate) {
     EXPECT_TRUE(beta->HandleQuery(EncryptedSql(*beta, sql), true).ok());
   }
 
-  // One shared connection, two tenants: the statement cache keys on tenant
-  // identity, so each tenant prepared its own program once (2 misses) and
-  // reused it (2 hits) — no cross-tenant statement sharing.
-  const StatementCacheStats statements = host.pool().statement_stats();
-  EXPECT_EQ(statements.misses, 2u);
-  EXPECT_EQ(statements.hits, 2u);
-  EXPECT_EQ(statements.entries, 2u);
+  // One shared connection, two tenants: each tenant prepared only its own
+  // templates (alpha one, beta two) and executed only its own program —
+  // no cross-tenant statement sharing.
+  const StatementCacheStats a = alpha->Stats().statements;
+  const StatementCacheStats b = beta->Stats().statements;
+  EXPECT_EQ(a.misses, 1u);
+  EXPECT_EQ(a.entries, 1u);
+  EXPECT_EQ(a.hits, 2u);
+  EXPECT_EQ(b.misses, 2u);
+  EXPECT_EQ(b.entries, 2u);
+  EXPECT_EQ(b.hits, 2u);
   EXPECT_EQ(host.pool().Stats().leases_granted, 4u);
-  EXPECT_EQ(host.catalogs_loaded(), 2u);  // One lazy load per tenant.
 }
 
 }  // namespace

@@ -404,8 +404,14 @@ TEST(ClusterSimTopology, SharedHostSaturationQueuesWithoutFailures) {
   EXPECT_EQ(result->host_ops[0], home_ops);
   EXPECT_GT(home_ops, 0u);
 
-  // Each tenant lazily materialized its catalog exactly once.
-  EXPECT_EQ(result->catalogs_loaded, 2u);
+  // Each tenant prepared only its own templates, once, at registration;
+  // the shared host's connections executed those programs.
+  for (const System* system : {&bookstore, &auction}) {
+    const backend::HomeBackendStats home = system->app->home().Stats();
+    EXPECT_EQ(home.statements.misses, system->app->templates().num_queries());
+    EXPECT_GT(home.statements.hits, 0u);
+    EXPECT_EQ(home.statements.hits, home.program_queries);
+  }
 }
 
 TEST(ClusterSimTopology, LeaseDeadlineCountsTimeoutsButServesEveryOp) {

@@ -1,29 +1,33 @@
-// InMemoryBackend tests behind the HomeBackend seam: prepared-statement
-// cache hit/miss/evict behavior, TTL'd metadata cache with explicit DDL/registration invalidation,
-// lazy per-tenant catalog loading, the probe wire message, and Stats()
-// surfacing the per-query program/interpreter counters.
+// InMemoryBackend tests behind the HomeBackend seam: each query template
+// prepared exactly once at registration and shared by every pooled
+// connection (also from concurrent threads), DescribeTable snapshots that
+// are never stale, the probe wire message, and Stats() surfacing the
+// per-query program/interpreter counters.
 
 #include "backend/in_memory_backend.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "backend/home_backend.h"
 #include "catalog/schema.h"
 #include "crypto/keyring.h"
 #include "dssp/protocol.h"
 #include "engine/table.h"
+#include "sql/parser.h"
 
 namespace dssp::backend {
 namespace {
 
 using sql::Value;
 
-// Three tables; only `kv` is touched by the registered templates, so lazy
-// catalog loading must materialize exactly one of the three.
+// Three tables; the registered templates touch only `kv`.
 std::unique_ptr<InMemoryBackend> MakeBackend(BackendOptions options = {}) {
   auto backend = std::make_unique<InMemoryBackend>(
       "shop", crypto::KeyRing::FromPassphrase("backend-secret"), options);
@@ -63,78 +67,200 @@ StatusOr<std::string> Query(InMemoryBackend& backend, const std::string& sql) {
   return backend.HandleQuery(Enc(backend, sql), /*plaintext_result=*/true);
 }
 
-// ----- Prepared-statement cache -------------------------------------------
+// ----- Prepared programs ---------------------------------------------------
 
-TEST(StatementCacheBehavior, PrepareOncePerConnectionThenHit) {
+TEST(PreparedPrograms, PreparedOnceAtRegistrationThenExecuted) {
   auto backend = MakeBackend();
+  // Registration prepared the one query template; no query has run yet.
+  EXPECT_EQ(backend->Stats().statements.misses, 1u);
+  EXPECT_EQ(backend->Stats().statements.hits, 0u);
+
   const std::string sql = "SELECT val FROM kv WHERE id = 3";
   const auto first = Query(*backend, sql);
   ASSERT_TRUE(first.ok());
   for (int i = 0; i < 4; ++i) {
     const auto again = Query(*backend, sql);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(*again, *first);  // Cached program, identical bytes.
+    EXPECT_EQ(*again, *first);  // Same program, identical bytes.
   }
 
   const HomeBackendStats stats = backend->Stats();
   EXPECT_EQ(stats.statements.misses, 1u);
-  EXPECT_EQ(stats.statements.hits, 4u);
+  EXPECT_EQ(stats.statements.hits, 5u);
   EXPECT_EQ(stats.statements.entries, 1u);
-  EXPECT_DOUBLE_EQ(stats.statements.hit_rate(), 0.8);
+  EXPECT_DOUBLE_EQ(stats.statements.hit_rate(), 5.0 / 6.0);
   EXPECT_EQ(stats.program_queries, 5u);
   EXPECT_EQ(stats.interpreter_fallback_queries, 0u);
 }
 
-TEST(StatementCacheBehavior, LruCapEvictsLeastRecentlyExecuted) {
+TEST(PreparedPrograms, TwoTemplatesAlternateOnOneConnection) {
   BackendOptions options;
   options.pool.size = 1;
-  options.pool.statement_cache_capacity = 1;
   auto backend = MakeBackend(options);
   ASSERT_TRUE(
       backend->AddQueryTemplate("SELECT id FROM kv WHERE val = ?").ok());
 
   const std::string by_id = "SELECT val FROM kv WHERE id = 3";
   const std::string by_val = "SELECT id FROM kv WHERE val = 21";
-  // Alternate two templates through a 1-entry cache: every execution evicts
-  // the other's program.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(Query(*backend, by_id).ok());
     ASSERT_TRUE(Query(*backend, by_val).ok());
   }
   const HomeBackendStats stats = backend->Stats();
-  EXPECT_EQ(stats.statements.hits, 0u);
-  EXPECT_EQ(stats.statements.misses, 6u);
-  EXPECT_EQ(stats.statements.evictions, 5u);  // All but the live entry.
-  EXPECT_EQ(stats.statements.entries, 1u);
-  EXPECT_EQ(stats.program_queries, 6u);  // Thrash hurts latency, not results.
+  EXPECT_EQ(stats.statements.hits, 6u);
+  EXPECT_EQ(stats.statements.misses, 2u);
+  EXPECT_EQ(stats.statements.entries, 2u);
+  EXPECT_EQ(stats.program_queries, 6u);
 }
 
-TEST(StatementCacheBehavior, TemplateRegistrationInvalidatesPreparedPlans) {
-  auto backend = MakeBackend();
-  ASSERT_TRUE(Query(*backend, "SELECT val FROM kv WHERE id = 2").ok());
-  EXPECT_EQ(backend->Stats().statements.entries, 1u);
-
-  // New template: every prepared plan for this tenant is dropped.
+TEST(PreparedPrograms, EachCompilableTemplatePreparedExactlyOnce) {
+  BackendOptions options;
+  options.pool.size = 4;
+  auto backend = MakeBackend(options);
   ASSERT_TRUE(
       backend->AddQueryTemplate("SELECT id FROM kv WHERE val = ?").ok());
-  const HomeBackendStats stats = backend->Stats();
-  EXPECT_EQ(stats.statements.entries, 0u);
-  EXPECT_EQ(stats.statements.invalidations, 1u);
+  // Compares an int column with a string literal: the program compiler
+  // rejects it, so the interpreter serves it and nothing is prepared.
+  ASSERT_TRUE(
+      backend->AddQueryTemplate("SELECT id FROM kv WHERE val = 'x' AND id = ?")
+          .ok());
+  const uint64_t compilable = 2;
+  EXPECT_EQ(backend->Stats().statements.misses, compilable);
 
-  // Next execution re-prepares and serves correctly.
-  ASSERT_TRUE(Query(*backend, "SELECT val FROM kv WHERE id = 2").ok());
-  EXPECT_EQ(backend->Stats().statements.misses, 2u);
+  // Run on each connection in turn: holding k leases makes the next query
+  // lease connection k.
+  for (int k = 0; k < options.pool.size; ++k) {
+    std::vector<ConnectionPool::Lease> held;
+    for (int i = 0; i < k; ++i) held.push_back(backend->pool().Acquire());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(Query(*backend, "SELECT val FROM kv WHERE id = 3").ok());
+      ASSERT_TRUE(Query(*backend, "SELECT id FROM kv WHERE val = 21").ok());
+    }
+  }
+  EXPECT_FALSE(
+      Query(*backend, "SELECT id FROM kv WHERE val = 'x' AND id = 3").ok());
+
+  const HomeBackendStats stats = backend->Stats();
+  EXPECT_EQ(stats.statements.misses, compilable);
+  EXPECT_EQ(stats.statements.entries, compilable);
+  EXPECT_EQ(stats.statements.hits, 24u);
+  EXPECT_EQ(stats.interpreter_fallback_queries, 1u);
 }
 
-TEST(StatementCacheBehavior, UnmatchedQueryFallsBackToInterpreter) {
+TEST(PreparedPrograms, LaterRegistrationLeavesEarlierProgramsAlone) {
   auto backend = MakeBackend();
-  // No registered template has this shape: interpreter path, no prepare.
+  const auto before = Query(*backend, "SELECT val FROM kv WHERE id = 2");
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(backend->Stats().statements.misses, 1u);
+
+  // A second template prepares one more program; the first one stays.
+  ASSERT_TRUE(
+      backend->AddQueryTemplate("SELECT id FROM kv WHERE val = ?").ok());
+  EXPECT_EQ(backend->Stats().statements.misses, 2u);
+  const auto after = Query(*backend, "SELECT val FROM kv WHERE id = 2");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
+  const HomeBackendStats stats = backend->Stats();
+  EXPECT_EQ(stats.statements.misses, 2u);
+  EXPECT_EQ(stats.statements.hits, 2u);
+  EXPECT_EQ(stats.interpreter_fallback_queries, 0u);
+}
+
+TEST(PreparedPrograms, ProgramCompiledBeforeDdlServesAfterIt) {
+  auto backend = MakeBackend();
+  const auto before = Query(*backend, "SELECT val FROM kv WHERE id = 9");
+  ASSERT_TRUE(before.ok());
+
+  // DDL after registration: the catalog grows, the program does not change.
+  ASSERT_TRUE(backend->database()
+                  .CreateTable(catalog::TableSchema(
+                      "returns", {{"rid", catalog::ColumnType::kInt64}},
+                      {"rid"}))
+                  .ok());
+  ASSERT_TRUE(
+      backend->HandleUpdate(Enc(*backend, "UPDATE kv SET val = 5 WHERE id = 9"))
+          .ok());
+  const auto after = Query(*backend, "SELECT val FROM kv WHERE id = 9");
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(*after, *before);
+  // The served bytes are the interpreter's on the post-DDL database.
+  const auto want = backend->database().ExecuteQuery(
+      sql::ParseOrDie("SELECT val FROM kv WHERE id = 9"));
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*after, want->Serialize());
+  EXPECT_EQ(backend->Stats().statements.hits, 2u);
+  EXPECT_EQ(backend->Stats().statements.misses, 1u);
+}
+
+// Four threads on a four-connection pool run the same templates at once;
+// every result must be byte-identical to a single-threaded run.
+TEST(PreparedPrograms, ConcurrentConnectionsShareOneProgram) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  BackendOptions options;
+  options.pool.size = kThreads;
+  auto backend = MakeBackend(options);
+  ASSERT_TRUE(
+      backend->AddQueryTemplate("SELECT id FROM kv WHERE val = ?").ok());
+  ASSERT_TRUE(backend
+                  ->AddQueryTemplate(
+                      "SELECT id, val FROM kv WHERE val >= ? ORDER BY val "
+                      "DESC LIMIT 5")
+                  .ok());
+
+  std::vector<std::string> queries;
+  for (int i = 0; i < 10; ++i) {
+    queries.push_back("SELECT val FROM kv WHERE id = " + std::to_string(i * 5));
+    queries.push_back("SELECT id FROM kv WHERE val = " + std::to_string(i * 14));
+    queries.push_back(
+        "SELECT id, val FROM kv WHERE val >= " + std::to_string(i * 30) +
+        " ORDER BY val DESC LIMIT 5");
+  }
+  std::vector<std::string> expected;
+  for (const std::string& sql : queries) {
+    const auto result = Query(*backend, sql);
+    ASSERT_TRUE(result.ok()) << sql;
+    expected.push_back(*result);
+  }
+  const uint64_t hits_before = backend->Stats().statements.hits;
+
+  std::atomic<int> ready{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          // Each thread walks the queries from a different offset.
+          const size_t i = (q + static_cast<size_t>(t) * 7) % queries.size();
+          const auto result = Query(*backend, queries[i]);
+          if (!result.ok() || *result != expected[i]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const HomeBackendStats stats = backend->Stats();
+  EXPECT_EQ(stats.statements.hits - hits_before,
+            static_cast<uint64_t>(kThreads) * kRounds * queries.size());
+  EXPECT_EQ(stats.statements.misses, 3u);
+  EXPECT_EQ(stats.interpreter_fallback_queries, 0u);
+}
+
+TEST(PreparedPrograms, UnmatchedQueryFallsBackToInterpreter) {
+  auto backend = MakeBackend();
+  // No registered template has this shape: interpreter path.
   const auto result = Query(*backend, "SELECT id FROM kv WHERE val > 10");
   ASSERT_TRUE(result.ok());
   const HomeBackendStats stats = backend->Stats();
   EXPECT_EQ(stats.interpreter_fallback_queries, 1u);
   EXPECT_EQ(stats.program_queries, 0u);
-  EXPECT_EQ(stats.statements.misses, 0u);
+  EXPECT_EQ(stats.statements.hits, 0u);
+  EXPECT_EQ(stats.statements.misses, 1u);  // The registered template.
 }
 
 // ----- Index set -------------------------------------------------------------
@@ -168,103 +294,62 @@ TEST(TemplateIndexing, RegistrationIndexesEqualityColumns) {
   EXPECT_TRUE(orders.IsIndexed(0));
 }
 
-// ----- Metadata / statistics cache ----------------------------------------
+// ----- Table metadata --------------------------------------------------------
 
-TEST(MetadataCacheBehavior, TtlServesThenExpiresAgainstBackendClock) {
-  BackendOptions options;
-  options.metadata_ttl_s = 10.0;
-  auto backend = MakeBackend(options);
+TEST(DescribeTable, ReportsSchemaAndStampsBackendClock) {
+  auto backend = MakeBackend();
+  const auto kv = backend->DescribeTable("kv");
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ(kv->table, "kv");
+  EXPECT_EQ(kv->row_count, 50u);
+  EXPECT_EQ(kv->primary_key, "id");
+  ASSERT_EQ(kv->columns.size(), 2u);
+  EXPECT_EQ(kv->columns[0], "id");
+  EXPECT_EQ(kv->columns[1], "val");
+  EXPECT_DOUBLE_EQ(kv->computed_at_s, 0.0);
 
-  // First op lazily materializes the touched tables (one statistics pass).
-  ASSERT_TRUE(Query(*backend, "SELECT val FROM kv WHERE id = 1").ok());
-  const auto warm = backend->DescribeTable("kv");
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->table, "kv");
-  EXPECT_EQ(warm->row_count, 50u);
-  EXPECT_EQ(warm->primary_key, "id");
-  ASSERT_EQ(warm->columns.size(), 2u);
-  EXPECT_EQ(warm->columns[0], "id");
-  EXPECT_EQ(warm->columns[1], "val");
-  EXPECT_EQ(backend->Stats().metadata.hits, 1u);  // Served from the warm set.
-
-  // Within TTL: still the cached snapshot.
   backend->Tick(5.0);
-  ASSERT_TRUE(backend->DescribeTable("kv").ok());
-  EXPECT_EQ(backend->Stats().metadata.hits, 2u);
-  EXPECT_EQ(backend->Stats().metadata.expirations, 0u);
-
-  // Past TTL: the entry expires and a fresh statistics pass runs.
+  EXPECT_DOUBLE_EQ(backend->DescribeTable("kv")->computed_at_s, 5.0);
   backend->Tick(11.0);
-  const auto refreshed = backend->DescribeTable("kv");
-  ASSERT_TRUE(refreshed.ok());
-  EXPECT_DOUBLE_EQ(refreshed->computed_at_s, 11.0);
-  const HomeBackendStats stats = backend->Stats();
-  EXPECT_EQ(stats.metadata.expirations, 1u);
-  EXPECT_GE(stats.metadata.loads, 2u);
+  EXPECT_DOUBLE_EQ(backend->DescribeTable("kv")->computed_at_s, 11.0);
+  backend->Tick(3.0);  // The clock never moves backwards.
+  EXPECT_DOUBLE_EQ(backend->DescribeTable("kv")->computed_at_s, 11.0);
 }
 
-TEST(MetadataCacheBehavior, DdlExplicitlyInvalidatesStatistics) {
+TEST(DescribeTable, RowCountFollowsWritesAtOnce) {
   auto backend = MakeBackend();
-  ASSERT_TRUE(Query(*backend, "SELECT val FROM kv WHERE id = 1").ok());
-  EXPECT_GT(backend->Stats().metadata.entries, 0u);
+  EXPECT_EQ(backend->DescribeTable("kv")->row_count, 50u);
+  ASSERT_TRUE(backend
+                  ->HandleUpdate(Enc(*backend,
+                                     "INSERT INTO kv (id, val) VALUES (50, 1)"))
+                  .ok());
+  EXPECT_EQ(backend->DescribeTable("kv")->row_count, 51u);
+}
 
-  // DDL: a new table appears. The next catalog-aware operation must drop
-  // every cached statistic rather than serve pre-DDL snapshots.
+TEST(DescribeTable, SeesTablesCreatedAfterRegistration) {
+  auto backend = MakeBackend();
+  EXPECT_EQ(backend->Stats().tables_total, 3u);
   ASSERT_TRUE(backend->database()
                   .CreateTable(catalog::TableSchema(
                       "returns", {{"rid", catalog::ColumnType::kInt64}},
                       {"rid"}))
                   .ok());
-  ASSERT_TRUE(backend->DescribeTable("kv").ok());
-  const HomeBackendStats stats = backend->Stats();
-  EXPECT_GT(stats.metadata.invalidations, 0u);
-  EXPECT_EQ(stats.tables_total, 4u);
+  const auto returns = backend->DescribeTable("returns");
+  ASSERT_TRUE(returns.ok());
+  EXPECT_EQ(returns->row_count, 0u);
+  EXPECT_EQ(returns->primary_key, "rid");
+  EXPECT_EQ(backend->Stats().tables_total, 4u);
 }
 
-TEST(MetadataCacheBehavior, RegistrationInvalidatesAndDescribeIsOnDemand) {
+TEST(DescribeTable, AnyTableOnDemandUnknownIsNotFound) {
   auto backend = MakeBackend();
-  ASSERT_TRUE(Query(*backend, "SELECT val FROM kv WHERE id = 1").ok());
-  const uint64_t before = backend->Stats().metadata.invalidations;
-  ASSERT_TRUE(backend->AddUpdateTemplate(
-                     "UPDATE orders SET total = ? WHERE oid = ?")
-                  .ok());
-  EXPECT_GT(backend->Stats().metadata.invalidations, before);
-
-  // An untouched table is never pre-warmed but can be described on demand.
+  // No registered template touches `audit_log`; it is described all the same.
   const auto log = backend->DescribeTable("audit_log");
   ASSERT_TRUE(log.ok());
   EXPECT_EQ(log->row_count, 0u);
-  EXPECT_FALSE(backend->DescribeTable("no_such_table").ok());
-}
-
-// ----- Lazy per-tenant catalog --------------------------------------------
-
-TEST(LazyCatalog, OnlyTouchedTablesMaterialize) {
-  auto backend = MakeBackend();
-  EXPECT_FALSE(backend->catalog_loaded());
-  EXPECT_EQ(backend->Stats().metadata.entries, 0u);
-
-  ASSERT_TRUE(Query(*backend, "SELECT val FROM kv WHERE id = 1").ok());
-  EXPECT_TRUE(backend->catalog_loaded());
-  EXPECT_EQ(backend->TouchedTables(), (std::set<std::string>{"kv"}));
-
-  const HomeBackendStats stats = backend->Stats();
-  EXPECT_EQ(stats.tables_touched, 1u);
-  EXPECT_EQ(stats.tables_total, 3u);
-  EXPECT_EQ(stats.catalog_loads, 1u);
-  EXPECT_EQ(stats.metadata.entries, 1u);  // Only `kv` was materialized.
-
-  // Registering a template over `orders` re-scopes the touched set; the
-  // next operation re-materializes with both tables.
-  ASSERT_TRUE(
-      backend->AddQueryTemplate("SELECT total FROM orders WHERE oid = ?")
-          .ok());
-  EXPECT_FALSE(backend->catalog_loaded());
-  ASSERT_TRUE(Query(*backend, "SELECT val FROM kv WHERE id = 1").ok());
-  EXPECT_EQ(backend->TouchedTables(),
-            (std::set<std::string>{"kv", "orders"}));
-  EXPECT_EQ(backend->Stats().tables_touched, 2u);
-  EXPECT_EQ(backend->Stats().catalog_loads, 2u);
+  const auto missing = backend->DescribeTable("no_such_table");
+  EXPECT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
 // ----- The HomeBackend seam ------------------------------------------------
