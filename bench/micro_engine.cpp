@@ -6,16 +6,22 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "bench/micro_util.h"
+#include "catalog/schema.h"
 #include "engine/program.h"
 #include "sql/parser.h"
 
 namespace {
 
 using dssp::bench::BuildSystem;
+using dssp::catalog::ColumnType;
 using dssp::engine::QueryProgram;
 using dssp::sql::ParseOrDie;
+using dssp::sql::Value;
 
 dssp::engine::Database& Db() {
   static auto* system = BuildSystem("bookstore", 1.0, 5).release();
@@ -138,6 +144,24 @@ void BM_BestSellersJoinAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_BestSellersJoinAggregate);
 
+// The same best-sellers shape with the subject bound as a parameter, as the
+// bookstore template has it: the probe sits on item, the second FROM slot.
+void BM_BestSellersJoinAggregateCompiled(benchmark::State& state) {
+  dssp::engine::Database& db = Db();
+  const auto stmt = ParseOrDie(
+      "SELECT ol_i_id, SUM(ol_qty) FROM order_line, item "
+      "WHERE order_line.ol_i_id = item.i_id AND i_subject = ? "
+      "GROUP BY ol_i_id ORDER BY ol_i_id LIMIT 50");
+  auto program = QueryProgram::Compile(db.catalog(), stmt.select());
+  DSSP_CHECK(program.ok());
+  const std::vector<Value> params = {Value("SCIFI")};
+  for (auto _ : state) {
+    auto result = program->Execute(db, params);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_BestSellersJoinAggregateCompiled);
+
 void BM_ModificationByPrimaryKey(benchmark::State& state) {
   dssp::engine::Database& db = Db();
   const auto stmt =
@@ -161,6 +185,40 @@ void BM_InsertDeleteRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InsertDeleteRoundTrip);
+
+// Point deletes by primary key on a table whose other indexed column holds
+// one value in every row (bboard's comments.c_parent is 0 on every
+// top-level comment). Each iteration deletes the next row in id order and
+// re-inserts it, so the row leaves and rejoins that column's single
+// 20,000-row index chain.
+void BM_DeleteFromSkewedIndex(benchmark::State& state) {
+  constexpr int64_t kRows = 20000;
+  dssp::engine::Database db;
+  DSSP_CHECK_OK(db.CreateTable(dssp::catalog::TableSchema(
+      "comments",
+      {{"c_id", ColumnType::kInt64},
+       {"c_parent", ColumnType::kInt64},
+       {"c_rating", ColumnType::kInt64}},
+      {"c_id"})));
+  db.IndexEqualityColumns(
+      ParseOrDie("SELECT c_id FROM comments WHERE c_parent = ?"));
+  std::vector<dssp::sql::Statement> deletes;
+  deletes.reserve(kRows);
+  for (int64_t id = 0; id < kRows; ++id) {
+    DSSP_CHECK_OK(
+        db.InsertRow("comments", {Value(id), Value(0), Value(id % 5)}));
+    deletes.push_back(ParseOrDie("DELETE FROM comments WHERE c_id = " +
+                                 std::to_string(id)));
+  }
+  int64_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(db.ExecuteUpdate(deletes[next]));
+    DSSP_CHECK_OK(
+        db.InsertRow("comments", {Value(next), Value(0), Value(next % 5)}));
+    next = (next + 1) % kRows;
+  }
+}
+BENCHMARK(BM_DeleteFromSkewedIndex);
 
 }  // namespace
 

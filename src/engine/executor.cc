@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <unordered_map>
 
 #include "engine/batch.h"
 #include "engine/database.h"

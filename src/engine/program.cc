@@ -299,6 +299,28 @@ class QueryProgram::Compiler {
         }
       }
     }
+    PlanDrivenJoin();
+  }
+
+  // A two-slot join whose selective probe sits on slot 1 while slot 0 would
+  // be scanned in full: let slot 1's candidates probe slot 0's join-column
+  // index instead (see the class comment for why the order is preserved).
+  // Equal declared types keep the hash-and-compare of the index identical
+  // to the hash join's; double columns are left out, as they may mix
+  // integer and fractional images of one value.
+  void PlanDrivenJoin() {
+    if (prog_.slots_.size() != 2) return;
+    const SlotPlan& outer = prog_.slots_[0];
+    SlotPlan& inner = prog_.slots_[1];
+    if (outer.probe || !inner.hash_join || !inner.probe) return;
+    const catalog::Column& outer_col =
+        schemas_[0]->columns()[inner.probe_coord.col];
+    const catalog::Column& inner_col =
+        schemas_[1]->columns()[inner.build_col];
+    inner.driven_join = schemas_[1]->IsUniqueColumn(inner_col.name) &&
+                        Table::AlwaysIndexed(*schemas_[0], outer_col.name) &&
+                        outer_col.type == inner_col.type &&
+                        outer_col.type != catalog::ColumnType::kDouble;
   }
 
   std::string OutputName(const sql::SelectItem& item) const {
@@ -412,6 +434,7 @@ StatusOr<QueryProgram> QueryProgram::Compile(const catalog::Catalog& catalog,
 }
 
 bool QueryProgram::uses_full_scan() const {
+  if (num_driven_joins() > 0) return false;  // Both slots probe an index.
   for (const SlotPlan& plan : slots_) {
     if (!plan.probe && !plan.index_join) return true;
   }
@@ -422,6 +445,12 @@ size_t QueryProgram::num_index_joins() const {
   return static_cast<size_t>(
       std::count_if(slots_.begin(), slots_.end(),
                     [](const SlotPlan& plan) { return plan.index_join; }));
+}
+
+size_t QueryProgram::num_driven_joins() const {
+  return static_cast<size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const SlotPlan& plan) { return plan.driven_join; }));
 }
 
 // ---------------------------------------------------------------------------
@@ -549,7 +578,37 @@ StatusOr<QueryResult> QueryProgram::ExecuteImpl(
     return true;
   };
 
-  if (constants_pass) {
+  if (constants_pass && width == 2 && slots_[1].driven_join) {
+    // Driven join: slot 1's candidates probe slot 0's join-column index.
+    // Slot 1's join column is unique, so each slot-0 row pairs with at most
+    // one slot-1 row, and sorting the pairs by slot-0 slot reproduces the
+    // hash join's tuples (slot 0 ascending) in its order.
+    const SlotPlan& outer = slots_[0];
+    const SlotPlan& inner = slots_[1];
+    SelectionVector sel;
+    slot_candidates(1, &sel);
+    std::vector<uint64_t> pairs;  // slot-0 slot << 32 | slot-1 slot.
+    for (const uint32_t inner_slot : sel) {
+      const sql::Value& v = tables[1]->RowAt(inner_slot)[inner.build_col];
+      if (v.is_null()) continue;
+      tables[0]->ForEachSlotWithValue(
+          inner.probe_coord.col, v, [&](size_t outer_slot) {
+            if (!filters_pass(outer, *tables[0], outer_slot)) return;
+            const uint32_t tuple[2] = {static_cast<uint32_t>(outer_slot),
+                                       inner_slot};
+            if (residuals_pass(inner, tuple)) {
+              pairs.push_back(static_cast<uint64_t>(outer_slot) << 32 |
+                              inner_slot);
+            }
+          });
+    }
+    std::sort(pairs.begin(), pairs.end());
+    tuples.reserve(pairs.size() * 2);
+    for (const uint64_t pair : pairs) {
+      tuples.push_back(static_cast<uint32_t>(pair >> 32));
+      tuples.push_back(static_cast<uint32_t>(pair));
+    }
+  } else if (constants_pass) {
     SelectionVector sel;
     slot_candidates(0, &sel);
     if (width == 1) {

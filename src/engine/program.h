@@ -18,12 +18,24 @@ class Database;
 // A SELECT template compiled once — at RegisterApp / AddQueryTemplate time —
 // into a direct-coordinate op sequence: the index-probe vs full-scan choice,
 // pre-resolved (slot, column) coordinates, typed filter kernels over the
-// Table's columnar sidecar (engine/batch.h), the join plans — an index
-// nested-loop join into a unique inner column, else a hash join built over
-// the inner slot's candidates — the projection map, and the aggregate /
-// ORDER BY / LIMIT tail. Execution binds parameters into value slots and runs
-// the ops with zero name resolution, zero AST walking, and no per-row
-// sql::Value materialization on the filter path.
+// Table's columnar sidecar (engine/batch.h), the join plans, the projection
+// map, and the aggregate / ORDER BY / LIMIT tail. Execution binds parameters
+// into value slots and runs the ops with zero name resolution, zero AST
+// walking, and no per-row sql::Value materialization on the filter path.
+//
+// Each join stage (FROM slot s >= 1, joined to the tuples of slots < s)
+// runs one of four plans, chosen at compile time:
+//  - driven join: a two-slot program whose outer slot 0 has no probe of its
+//    own, whose slot 1 has a selective `= ?` probe and a unique join
+//    column, and whose slot-0 join column is always indexed (PK, UNIQUE or
+//    FK) with the same non-double type. Slot 1's candidates drive: each
+//    probes slot 0's join-column index, and the matched pairs are sorted by
+//    slot-0 slot. Each slot-0 row matches at most one slot-1 row, so that is
+//    exactly the hash join's tuple sequence, without scanning slot 0;
+//  - index nested-loop join: slot s has no probe and a unique join column;
+//    each tuple probes slot s's index once, at most one row matching;
+//  - hash join: built over slot s's candidates, probed per tuple;
+//  - cross product, when no equi-join conjunct links slot s.
 //
 // Contract: for every parameter binding, Execute() is bit-identical to
 // ExecuteSelect(db, BindParameters(stmt, params)) — same rows in the same
@@ -53,8 +65,8 @@ class QueryProgram {
   int num_params() const { return num_params_; }
 
   // True if any FROM slot is accessed by full scan (neither an equality
-  // index probe nor an index join) — the "scan-heavy" class the vectorized
-  // kernels accelerate most.
+  // index probe, an index join, nor the outer slot of a driven join) — the
+  // "scan-heavy" class the vectorized kernels accelerate most.
   bool uses_full_scan() const;
 
   // Number of FROM slots (tables joined).
@@ -62,6 +74,9 @@ class QueryProgram {
 
   // Number of FROM slots joined by an index nested-loop join.
   size_t num_index_joins() const;
+
+  // Number of FROM slots that drive the join from their own probe (0 or 1).
+  size_t num_driven_joins() const;
 
  private:
   // (FROM slot, column index) — a name resolved at compile time.
@@ -119,6 +134,9 @@ class QueryProgram {
     // Set with hash_join when build_col is unique and the slot has no probe
     // of its own: probe the table per tuple instead of scanning + building.
     bool index_join = false;
+    // Set with hash_join on slot 1 of a two-slot program (see the class
+    // comment): slot 1's candidates probe slot 0's join-column index.
+    bool driven_join = false;
     uint32_t build_col = 0;  // Join column in this slot.
     Coord probe_coord;       // Join column in an earlier slot.
     // Conjuncts that become evaluable at this stage, original order

@@ -8,15 +8,20 @@ Table::Table(const catalog::TableSchema& schema) : schema_(&schema) {
   indexed_.resize(schema.num_columns(), 0);
   indexes_.resize(schema.num_columns());
   columns_.resize(schema.num_columns());
-  for (const std::string& pk : schema.primary_key()) {
-    EnsureIndex(*schema.ColumnIndex(pk));
+  for (size_t col = 0; col < schema.num_columns(); ++col) {
+    if (AlwaysIndexed(schema, schema.columns()[col].name)) EnsureIndex(col);
   }
-  for (const std::string& unique : schema.unique_columns()) {
-    EnsureIndex(*schema.ColumnIndex(unique));
+}
+
+bool Table::AlwaysIndexed(const catalog::TableSchema& schema,
+                          std::string_view column) {
+  if (schema.IsPrimaryKeyColumn(column) || schema.IsUniqueColumn(column)) {
+    return true;
   }
   for (const catalog::ForeignKey& fk : schema.foreign_keys()) {
-    EnsureIndex(*schema.ColumnIndex(fk.column));
+    if (fk.column == column) return true;
   }
+  return false;
 }
 
 uint64_t Table::IndexKey(size_t col, const sql::Value& value) const {
@@ -30,13 +35,74 @@ bool Table::ComparableWithColumn(size_t col, const sql::Value& value) const {
   return string_column == (value.type() == sql::ValueType::kString);
 }
 
+void Table::ColumnIndex::Grow() {
+  std::vector<Bucket> old = std::move(buckets);
+  buckets.assign(old.empty() ? 16 : old.size() * 2, Bucket{});
+  for (const Bucket& b : old) {
+    if (b.head != kNoSlot) {
+      buckets[Find(static_cast<uint64_t>(b.key_hi) << 32 | b.key_lo)] = b;
+    }
+  }
+}
+
+void Table::ColumnIndex::Link(uint64_t key, size_t slot) {
+  if (slot >= next.size()) {
+    next.resize(slot + 1, kNoSlot);
+    prev.resize(slot + 1, kNoSlot);
+  }
+  // Keep the load factor at or below 3/4.
+  if (4 * (num_keys + 1) > 3 * buckets.size()) Grow();
+  Bucket& b = buckets[Find(key)];
+  prev[slot] = kNoSlot;
+  next[slot] = b.head;
+  if (b.head == kNoSlot) {
+    b.key_lo = static_cast<uint32_t>(key);
+    b.key_hi = static_cast<uint32_t>(key >> 32);
+    ++num_keys;
+  } else {
+    prev[b.head] = static_cast<uint32_t>(slot);
+  }
+  b.head = static_cast<uint32_t>(slot);
+}
+
+void Table::ColumnIndex::Unlink(uint64_t key, size_t slot) {
+  const uint32_t older = next[slot];
+  const uint32_t newer = prev[slot];
+  if (older != kNoSlot) prev[older] = newer;
+  if (newer != kNoSlot) {
+    next[newer] = older;
+    return;
+  }
+  // `slot` heads its chain: the bucket moves on to the next older slot, or
+  // empties when there is none.
+  size_t i = Find(key);
+  DSSP_CHECK(buckets[i].head == slot);
+  if (older != kNoSlot) {
+    buckets[i].head = older;
+    return;
+  }
+  --num_keys;
+  // Backward-shift deletion: pull each later bucket of the probe run whose
+  // home position does not lie in (i, j] into the hole.
+  const size_t mask = buckets.size() - 1;
+  for (size_t j = (i + 1) & mask; buckets[j].head != kNoSlot;
+       j = (j + 1) & mask) {
+    const size_t home = buckets[j].key_lo & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      buckets[i] = buckets[j];
+      i = j;
+    }
+  }
+  buckets[i] = Bucket{};
+}
+
 void Table::EnsureIndex(size_t col) {
   DSSP_CHECK(col < schema_->num_columns());
   if (indexed_[col]) return;
   indexed_[col] = 1;
   for (size_t slot = 0; slot < rows_.size(); ++slot) {
     if (live_[slot]) {
-      indexes_[col].emplace(IndexKey(col, rows_[slot][col]), slot);
+      indexes_[col].Link(IndexKey(col, rows_[slot][col]), slot);
     }
   }
 }
@@ -45,7 +111,7 @@ void Table::IndexRow(size_t slot) {
   const Row& row = rows_[slot];
   for (size_t col = 0; col < row.size(); ++col) {
     if (!indexed_[col]) continue;
-    indexes_[col].emplace(IndexKey(col, row[col]), slot);
+    indexes_[col].Link(IndexKey(col, row[col]), slot);
   }
 }
 
@@ -53,13 +119,7 @@ void Table::UnindexRow(size_t slot) {
   const Row& row = rows_[slot];
   for (size_t col = 0; col < row.size(); ++col) {
     if (!indexed_[col]) continue;
-    auto [begin, end] = indexes_[col].equal_range(IndexKey(col, row[col]));
-    for (auto it = begin; it != end; ++it) {
-      if (it->second == slot) {
-        indexes_[col].erase(it);
-        break;
-      }
-    }
+    indexes_[col].Unlink(IndexKey(col, row[col]), slot);
   }
 }
 
@@ -153,6 +213,7 @@ Status Table::Insert(Row row) {
     live_[slot] = 1;
   } else {
     slot = rows_.size();
+    DSSP_CHECK(slot < kNoSlot);
     rows_.push_back(std::move(row));
     live_.push_back(1);
   }
@@ -187,16 +248,9 @@ void Table::UpdateSlot(size_t slot, size_t col, sql::Value value) {
     return;
   }
   // Re-index just the touched column.
-  auto [begin, end] =
-      indexes_[col].equal_range(IndexKey(col, rows_[slot][col]));
-  for (auto it = begin; it != end; ++it) {
-    if (it->second == slot) {
-      indexes_[col].erase(it);
-      break;
-    }
-  }
+  indexes_[col].Unlink(IndexKey(col, rows_[slot][col]), slot);
   rows_[slot][col] = std::move(value);
-  indexes_[col].emplace(IndexKey(col, rows_[slot][col]), slot);
+  indexes_[col].Link(IndexKey(col, rows_[slot][col]), slot);
   SyncColumn(slot, col);
 }
 

@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -24,6 +24,16 @@ namespace dssp::engine {
 // probes of other columns scan the live slots. Row maintenance (Insert,
 // DeleteSlot, UpdateSlot) touches only the indexed columns, so an update of
 // an unindexed low-cardinality column is O(1).
+//
+// An index is a flat open-addressing table from value hash to the newest
+// slot holding that hash, plus per-slot next/prev links that chain the slots
+// sharing a hash, newest first. Adding a slot pushes it on the front of its
+// chain; removing one splices it out in O(1), however many rows share the
+// value (a low-cardinality column such as a parent id that is 0 on every
+// row costs no more than a primary key). The chain order — newest first,
+// survivors keeping their relative order — is the equal_range order a
+// std::unordered_multimap gives the same insert/erase history, which
+// SlotsWithValue and so every result order depend on.
 //
 // Alongside the row store, every column maintains a typed columnar sidecar
 // (runtime tag + int64/double/string-pointer arrays, slot-indexed) that the
@@ -68,6 +78,12 @@ class Table {
 
   bool IsIndexed(size_t col) const { return indexed_[col] != 0; }
 
+  // True for the columns a Table indexes from creation: primary-key, UNIQUE
+  // and foreign-key referencing columns. Known from the schema alone, so a
+  // query compiler can rely on the index without a populated table.
+  static bool AlwaysIndexed(const catalog::TableSchema& schema,
+                            std::string_view column);
+
   // Live slots where column `col` equals `value`: the hash index's bucket
   // order for an indexed column, ascending slot order otherwise. Either way
   // the set is the live rows whose value hashes like `value` and compares
@@ -97,11 +113,10 @@ class Table {
   void ForEachSlotWithValue(size_t col, const sql::Value& value,
                             Fn&& fn) const {
     if (indexed_[col]) {
-      auto [begin, end] = indexes_[col].equal_range(IndexKey(col, value));
-      for (auto it = begin; it != end; ++it) {
-        if (live_[it->second] && rows_[it->second][col] == value) {
-          fn(it->second);
-        }
+      const ColumnIndex& index = indexes_[col];
+      for (uint32_t slot = index.Head(IndexKey(col, value)); slot != kNoSlot;
+           slot = index.next[slot]) {
+        if (rows_[slot][col] == value) fn(slot);
       }
       return;
     }
@@ -156,6 +171,50 @@ class Table {
     std::vector<const std::string*> str;
   };
 
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  // One column's hash index (see the class comment). The head table is
+  // linear-probing with backward-shift deletion, so it holds no tombstones
+  // and allocates nothing per key.
+  struct ColumnIndex {
+    struct Bucket {
+      // The 64-bit key split in two keeps a bucket at 12 bytes.
+      uint32_t key_lo = 0;
+      uint32_t key_hi = 0;
+      uint32_t head = kNoSlot;  // kNoSlot: the bucket is empty.
+    };
+    std::vector<Bucket> buckets;  // Power-of-two size, or empty.
+    size_t num_keys = 0;
+    // Per slot: the next older / newer slot with the same key.
+    std::vector<uint32_t> next;
+    std::vector<uint32_t> prev;
+
+    // The newest slot with `key`, or kNoSlot.
+    uint32_t Head(uint64_t key) const {
+      return buckets.empty() ? kNoSlot : buckets[Find(key)].head;
+    }
+    // Pushes `slot` on the front of `key`'s chain.
+    void Link(uint64_t key, size_t slot);
+    // Splices `slot` (currently linked under `key`) out of its chain.
+    void Unlink(uint64_t key, size_t slot);
+
+   private:
+    // The bucket holding `key`, or the empty bucket where it would go.
+    // `buckets` must not be empty.
+    size_t Find(uint64_t key) const {
+      const size_t mask = buckets.size() - 1;
+      for (size_t i = key & mask;; i = (i + 1) & mask) {
+        const Bucket& b = buckets[i];
+        if (b.head == kNoSlot) return i;
+        if (b.key_lo == static_cast<uint32_t>(key) &&
+            b.key_hi == static_cast<uint32_t>(key >> 32)) {
+          return i;
+        }
+      }
+    }
+    void Grow();
+  };
+
   uint64_t IndexKey(size_t col, const sql::Value& value) const;
   // False when `value` is a non-NULL value of the other type class than
   // column `col` (string vs numeric): no row can equal it, and comparing
@@ -170,10 +229,10 @@ class Table {
   std::vector<char> live_;
   std::vector<size_t> free_slots_;
   size_t num_live_ = 0;
-  // One multimap per column: value-hash -> slot, empty unless indexed_[col].
-  // Collisions are resolved by re-checking the stored value.
+  // One index per column, empty unless indexed_[col]. Different values
+  // whose hashes collide share a chain; probes re-check the stored value.
   std::vector<char> indexed_;
-  std::vector<std::unordered_multimap<uint64_t, size_t>> indexes_;
+  std::vector<ColumnIndex> indexes_;
   std::vector<ColumnStore> columns_;
 };
 

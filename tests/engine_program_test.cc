@@ -27,6 +27,13 @@
 //     own probe, a non-unique inner column) — each checked for its plan and
 //     differentially, again after deletes, slot reuse and updates of the
 //     join columns.
+//  8. Driven joins: two-slot joins whose probe sits on the inner slot and
+//     whose outer join column is a foreign key or UNIQUE. NULL and dangling
+//     join values, filtered outer slots, residuals, LIMIT with and without
+//     ORDER BY (ties included), GROUP BY with SUM/AVG over doubles whose sum
+//     depends on the order, and the shapes that must not be driven — each
+//     checked for its plan and differentially, again after deletes, slot
+//     reuse and join-column updates.
 //
 // Sections 4 and 6 together run well over 100k differential queries.
 
@@ -34,6 +41,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -1003,6 +1011,233 @@ TEST_P(IndexJoinTest, MatchesInterpreterThroughDeletesReuseAndUpdates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexJoinTest,
+                         ::testing::Range<uint64_t>(1, 9));
+
+// ---------------------------------------------------------------------------
+// 8. Driven joins.
+// ---------------------------------------------------------------------------
+
+class DrivenJoinTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // A join template, the plan it must compile to, and how to draw each of
+  // its parameters: 'i' a small int (sometimes NULL), 'l' a LIMIT.
+  struct Case {
+    const char* sql;
+    size_t driven_joins;
+    size_t index_joins;
+    bool full_scan;
+    const char* params;
+  };
+
+  void SetUp() override {
+    rng_ = Rng(GetParam() * 15485863 + 3);
+    // a_code is UNIQUE and nullable; a_w is a UNIQUE double.
+    ASSERT_TRUE(db_.CreateTable(TableSchema("authors",
+                                            {{"a_id", ColumnType::kInt64},
+                                             {"a_code", ColumnType::kString},
+                                             {"a_grp", ColumnType::kInt64},
+                                             {"a_score", ColumnType::kInt64},
+                                             {"a_w", ColumnType::kDouble}},
+                                            {"a_id"}, /*foreign_keys=*/{},
+                                            /*unique_columns=*/
+                                            {"a_code", "a_w"}))
+                    .ok());
+    // b_author is a foreign key, so it is indexed from creation. Dangling
+    // values appear once authors are deleted or b_author is updated.
+    ASSERT_TRUE(
+        db_.CreateTable(TableSchema(
+                            "books",
+                            {{"b_id", ColumnType::kInt64},
+                             {"b_author", ColumnType::kInt64},
+                             {"b_grp", ColumnType::kInt64},
+                             {"b_lo", ColumnType::kInt64},
+                             {"b_hi", ColumnType::kInt64},
+                             {"b_price", ColumnType::kDouble}},
+                            {"b_id"},
+                            {catalog::ForeignKey{"b_author", "authors",
+                                                 "a_id"}}))
+            .ok());
+    for (int64_t a = 0; a < 30; ++a) InsertAuthor(a);
+    for (int64_t b = 0; b < 150; ++b) InsertBook(b);
+  }
+
+  Value SmallInt(uint64_t below) {
+    return Value(static_cast<int64_t>(rng_.NextBelow(below)));
+  }
+
+  void InsertAuthor(int64_t id) {
+    Value code = rng_.NextBool(0.2) ? Value::Null()
+                                    : Value("c" + std::to_string(id % 40));
+    Value w = rng_.NextBool(0.2) ? Value::Null()
+                                 : Value(static_cast<double>(id) / 2);
+    ASSERT_TRUE(db_.InsertRow("authors",
+                              Row{Value(id), std::move(code), SmallInt(4),
+                                  SmallInt(3), std::move(w)})
+                    .ok());
+  }
+
+  // Book ids are distinct; the author is NULL or drawn from
+  // [author_lo, author_lo + num_authors), all of them live.
+  void InsertBook(int64_t id, int64_t author_lo = 0,
+                  uint64_t num_authors = 30) {
+    // Magnitudes far apart make a double SUM depend on its order.
+    static const double kPrices[] = {1e16, -1e16, 0.1, 3.3, 1.0, 7e15};
+    Value author =
+        rng_.NextBool(0.15)
+            ? Value::Null()
+            : Value(author_lo +
+                    static_cast<int64_t>(rng_.NextBelow(num_authors)));
+    Value price = rng_.NextBool(0.1)
+                      ? Value::Null()
+                      : Value(kPrices[rng_.NextBelow(std::size(kPrices))]);
+    ASSERT_TRUE(db_.InsertRow("books",
+                              Row{Value(id), std::move(author), SmallInt(5),
+                                  SmallInt(5), SmallInt(5), std::move(price)})
+                    .ok());
+  }
+
+  std::vector<Value> DrawParams(const char* spec) {
+    std::vector<Value> params;
+    for (const char* c = spec; *c != '\0'; ++c) {
+      if (*c == 'i') {
+        params.push_back(rng_.NextBool(0.05) ? Value::Null() : SmallInt(5));
+      } else {
+        params.push_back(SmallInt(12));
+      }
+    }
+    return params;
+  }
+
+  void RunDifferential(const std::vector<Case>& cases,
+                       const std::string& phase) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(phase + ": " + c.sql);
+      const sql::Statement stmt = sql::ParseOrDie(c.sql);
+      StatusOr<QueryProgram> program =
+          QueryProgram::Compile(db_.catalog(), stmt.select());
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      EXPECT_EQ(program->num_driven_joins(), c.driven_joins);
+      EXPECT_EQ(program->num_index_joins(), c.index_joins);
+      EXPECT_EQ(program->uses_full_scan(), c.full_scan);
+      for (int round = 0; round < 40; ++round) {
+        const std::vector<Value> params = DrawParams(c.params);
+        ExpectSameOutcome(program->Execute(db_, params),
+                          db_.ExecuteQuery(sql::BindParameters(stmt, params)),
+                          "round " + std::to_string(round));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+
+  Rng rng_{1};
+  Database db_;
+};
+
+TEST_P(DrivenJoinTest, MatchesInterpreterThroughDeletesReuseAndUpdates) {
+  const std::vector<Case> cases = {
+      // The basic shape, and with the join conjunct's sides swapped.
+      {"SELECT * FROM books, authors WHERE a_grp = ? AND b_author = a_id", 1,
+       0, false, "i"},
+      {"SELECT b_id, a_score FROM books, authors WHERE a_id = b_author AND "
+       "a_score = ?",
+       1, 0, false, "i"},
+      // Filtered outer slot: column vs value on either side, column vs
+      // column; plus an inner filter beside the probe.
+      {"SELECT b_id, a_id FROM books, authors WHERE b_grp < ? AND "
+       "a_grp = ? AND ? <= b_hi AND b_author = a_id",
+       1, 0, false, "iii"},
+      {"SELECT b_id, b_lo, b_hi FROM books, authors WHERE b_lo <= b_hi AND "
+       "a_grp = ? AND a_score > ? AND b_author = a_id",
+       1, 0, false, "ii"},
+      // A residual beyond the equi conjunct.
+      {"SELECT b_id, a_id FROM books, authors WHERE b_author = a_id AND "
+       "a_grp = ? AND b_grp < a_score",
+       1, 0, false, "i"},
+      // LIMIT without ORDER BY: the cut depends on the tuple order alone.
+      {"SELECT b_id, a_id FROM books, authors WHERE a_grp = ? AND "
+       "b_author = a_id LIMIT ?",
+       1, 0, false, "il"},
+      // ORDER BY with ties, LIMIT cuts through them.
+      {"SELECT b_id, a_score FROM books, authors WHERE a_grp = ? AND "
+       "b_author = a_id ORDER BY a_score DESC LIMIT ?",
+       1, 0, false, "il"},
+      {"SELECT b_id, b_grp FROM books, authors WHERE a_score = ? AND "
+       "b_author = a_id ORDER BY b_grp",
+       1, 0, false, "i"},
+      // GROUP BY with SUM and AVG over doubles: the summation order shows.
+      {"SELECT b_grp, SUM(b_price), AVG(b_price), COUNT(*) FROM books, "
+       "authors WHERE a_grp = ? AND b_author = a_id GROUP BY b_grp",
+       1, 0, false, "i"},
+      {"SELECT SUM(b_price), AVG(b_price), MIN(b_id) FROM books, authors "
+       "WHERE a_score = ? AND b_author = a_id",
+       1, 0, false, "i"},
+      {"SELECT b_author, SUM(b_price) FROM books, authors WHERE a_grp = ? "
+       "AND b_author = a_id GROUP BY b_author ORDER BY b_author DESC LIMIT ?",
+       1, 0, false, "il"},
+      // String join through a UNIQUE outer column (a self-join), NULL codes
+      // on both sides.
+      {"SELECT p.a_id, q.a_id FROM authors p, authors q WHERE q.a_grp = ? "
+       "AND p.a_code = q.a_code",
+       1, 0, false, "i"},
+      // Not driven: the outer slot has its own probe.
+      {"SELECT b_id, a_id FROM books, authors WHERE b_grp = ? AND "
+       "a_grp = ? AND b_author = a_id",
+       0, 0, false, "ii"},
+      // Not driven: the outer join column is not always indexed.
+      {"SELECT b_id, a_id FROM books, authors WHERE a_grp = ? AND "
+       "b_grp = a_id",
+       0, 0, true, "i"},
+      // Not driven: the join columns' types differ (int vs double).
+      {"SELECT b_id, a_id FROM books, authors WHERE a_grp = ? AND "
+       "b_author = a_w",
+       0, 0, true, "i"},
+      // Not driven: the inner join column is not unique.
+      {"SELECT a_id, b_id FROM authors, books WHERE b_grp = ? AND "
+       "a_id = b_author",
+       0, 0, true, "i"},
+      // Not driven: three slots (the second stage is an index join).
+      {"SELECT b.b_id, a.a_id, c.a_id FROM books b, authors a, authors c "
+       "WHERE a.a_grp = ? AND b.b_author = a.a_id AND a.a_code = c.a_code",
+       0, 1, true, "i"},
+  };
+  RunDifferential(cases, "fresh");
+  if (HasFatalFailure()) return;
+
+  // Deleted authors leave their books dangling; deleted books free slots
+  // that new books (some referencing the new authors) reuse.
+  ASSERT_TRUE(db_.Update("DELETE FROM authors WHERE a_score = 1").ok());
+  ASSERT_TRUE(db_.Update("DELETE FROM books WHERE b_grp = 2").ok());
+  for (int64_t a = 30; a < 36; ++a) InsertAuthor(a);
+  for (int64_t b = 150; b < 190; ++b) {
+    InsertBook(b, /*author_lo=*/30, /*num_authors=*/6);
+    if (HasFatalFailure()) return;
+  }
+  RunDifferential(cases, "after deletes and slot reuse");
+  if (HasFatalFailure()) return;
+
+  // Move join values: foreign values (dangling ones included) and the
+  // UNIQUE codes (freed by a NULL first so uniqueness holds at every step).
+  for (int k = 0; k < 40; ++k) {
+    ASSERT_TRUE(db_.Update("UPDATE books SET b_author = " +
+                           std::to_string(rng_.NextBelow(40)) +
+                           " WHERE b_id = " +
+                           std::to_string(rng_.NextBelow(190)))
+                    .ok());
+  }
+  for (int k = 0; k < 10; ++k) {
+    const std::string code = "'c" + std::to_string(rng_.NextBelow(40)) + "'";
+    ASSERT_TRUE(
+        db_.Update("UPDATE authors SET a_code = NULL WHERE a_code = " + code)
+            .ok());
+    ASSERT_TRUE(db_.Update("UPDATE authors SET a_code = " + code +
+                           " WHERE a_id = " +
+                           std::to_string(rng_.NextBelow(36)))
+                    .ok());
+  }
+  RunDifferential(cases, "after join-column updates");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DrivenJoinTest,
                          ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
+#include "common/random.h"
 #include "engine/database.h"
 #include "engine/table.h"
 #include "sql/parser.h"
@@ -303,6 +308,155 @@ TEST_F(TableTest, TemplateProbedColumnKeepsBucketOrder) {
   EXPECT_EQ(table_.SlotsWithValue(2, Value(3)),
             (Slots{0, 39, 35, 27, 23, 15, 11, 3}));
 }
+
+// ---------------------------------------------------------------------------
+// Index order oracle. Result order depends on the order SlotsWithValue
+// returns an indexed column's matches. The model below is the index the
+// Table once kept: one std::unordered_multimap per column from the value's
+// hash to its slots, fed the same emplace / erase sequence. (The Table keys
+// by HashCombine(column, hash), a bijection of the hash for a fixed
+// column, so the two group slots identically.)
+// ---------------------------------------------------------------------------
+
+class MultimapIndexModel {
+ public:
+  void Link(const Value& value, size_t slot) {
+    map_.emplace(value.Hash(), slot);
+    values_[slot] = value;
+  }
+  void Unlink(size_t slot) {
+    auto [begin, end] = map_.equal_range(values_.at(slot).Hash());
+    for (auto it = begin; it != end; ++it) {
+      if (it->second == slot) {
+        map_.erase(it);
+        break;
+      }
+    }
+    values_.erase(slot);
+  }
+  std::vector<size_t> SlotsWithValue(const Value& value) const {
+    std::vector<size_t> slots;
+    auto [begin, end] = map_.equal_range(value.Hash());
+    for (auto it = begin; it != end; ++it) {
+      if (values_.at(it->second) == value) slots.push_back(it->second);
+    }
+    return slots;
+  }
+
+ private:
+  std::unordered_multimap<uint64_t, size_t> map_;
+  std::map<size_t, Value> values_;  // Linked slot -> its indexed value.
+};
+
+class IndexOrderOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexOrderOracleTest, ProbeOrderMatchesMultimapModel) {
+  Rng rng(GetParam() * 7727 + 5);
+  const catalog::TableSchema schema("t",
+                                    {{"id", ColumnType::kInt64},
+                                     {"grp", ColumnType::kInt64},
+                                     {"val", ColumnType::kDouble},
+                                     {"name", ColumnType::kString},
+                                     {"extra", ColumnType::kInt64}},
+                                    {"id"});
+  Table table(schema);
+  constexpr size_t kCols = 5;
+
+  // The int whose bytes are those of 0.5 hashes like the double 0.5 but
+  // does not equal it, so both share one chain; 1 and 1.0 hash alike and
+  // are equal.
+  const std::vector<Value> val_domain = {
+      Value(0.5), Value(std::bit_cast<int64_t>(0.5)),
+      Value(2.5), Value(std::bit_cast<int64_t>(2.5)),
+      Value(1.0), Value(1),
+      Value::Null()};
+  // grp is skewed: most rows hold 0, like a parent id on top-level rows.
+  const auto draw = [&](size_t col) -> Value {
+    switch (col) {
+      case 1:
+        return rng.NextBool(0.8) ? Value(0)
+                                 : Value(static_cast<int64_t>(
+                                       rng.NextBelow(3)));
+      case 2:
+        return val_domain[rng.NextBelow(val_domain.size())];
+      case 3:
+        return rng.NextBool(0.1)
+                   ? Value::Null()
+                   : Value("n" + std::to_string(rng.NextBelow(6)));
+      default:
+        return Value(static_cast<int64_t>(rng.NextBelow(4)));
+    }
+  };
+  // Values each indexed column is probed with after every operation.
+  std::vector<std::vector<Value>> probes(kCols);
+  for (int64_t k = 0; k < 1500; k += 37) probes[0].emplace_back(7 * k);
+  probes[0].emplace_back(int64_t{3});  // Never inserted.
+  for (int64_t g = 0; g < 4; ++g) probes[1].emplace_back(g);
+  probes[2] = val_domain;
+  for (int n = 0; n < 7; ++n) probes[3].emplace_back("n" + std::to_string(n));
+  for (int64_t e = 0; e < 4; ++e) probes[4].emplace_back(e);
+
+  std::vector<MultimapIndexModel> model(kCols);
+  std::vector<bool> indexed = {true, false, false, false, false};
+  const auto ensure_index = [&](size_t col) {
+    table.EnsureIndex(col);
+    indexed[col] = true;
+    for (size_t slot = 0; slot < table.slot_count(); ++slot) {
+      if (table.IsLive(slot)) model[col].Link(table.RowAt(slot)[col], slot);
+    }
+  };
+  ensure_index(1);  // Indexed on the empty table, like a template column.
+
+  std::vector<size_t> live;  // Live slots, for picking delete/update targets.
+  int64_t next_id = 0;
+  for (int op = 0; op < 3000; ++op) {
+    if (op == 400) ensure_index(2);   // Indexes on a populated table.
+    if (op == 1200) ensure_index(3);
+    if (op == 2000) ensure_index(4);
+    const uint64_t kind = rng.NextBelow(10);
+    if (live.size() < 20 || (kind < 4 && live.size() < 300)) {
+      // Ids step by 7 so the id probes also hit deleted and unused keys.
+      const int64_t id = 7 * next_id++;
+      Row row{Value(id), draw(1), draw(2), draw(3), draw(4)};
+      ASSERT_TRUE(table.Insert(row).ok());
+      const std::vector<size_t> at = table.SlotsWithValue(0, Value(id));
+      ASSERT_EQ(at.size(), 1u);
+      for (size_t col = 0; col < kCols; ++col) {
+        if (indexed[col]) model[col].Link(row[col], at[0]);
+      }
+      live.push_back(at[0]);
+    } else if (kind < 7) {
+      const size_t pick = rng.NextBelow(live.size());
+      const size_t slot = live[pick];
+      for (size_t col = 0; col < kCols; ++col) {
+        if (indexed[col]) model[col].Unlink(slot);
+      }
+      table.DeleteSlot(slot);
+      live[pick] = live.back();
+      live.pop_back();
+    } else {
+      const size_t slot = live[rng.NextBelow(live.size())];
+      const size_t col = 1 + rng.NextBelow(kCols - 1);
+      const Value value = draw(col);
+      if (indexed[col]) {
+        model[col].Unlink(slot);
+        model[col].Link(value, slot);
+      }
+      table.UpdateSlot(slot, col, value);
+    }
+    for (size_t col = 0; col < kCols; ++col) {
+      if (!indexed[col]) continue;
+      for (const Value& v : probes[col]) {
+        ASSERT_EQ(table.SlotsWithValue(col, v), model[col].SlotsWithValue(v))
+            << "op " << op << " column " << col << " value "
+            << v.ToSqlLiteral();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexOrderOracleTest,
+                         ::testing::Range<uint64_t>(1, 11));
 
 }  // namespace
 }  // namespace dssp::engine
