@@ -269,7 +269,6 @@ PairPlan CompilePairPlan(const UpdateTemplate& u, const QueryTemplate& q,
   // ----- Template level: A = 0? (Lemma 1; Section 4.5.) -----
   if (templates::IsIgnorable(u, q)) {
     plan.kind = PlanKind::kNeverInvalidate;
-    plan.never_invalidate = true;
     plan.rationale =
         "A=0: ignorable (G), M(U) disjoint from P(Q) u S(Q)";
     return plan;
@@ -277,7 +276,6 @@ PairPlan CompilePairPlan(const UpdateTemplate& u, const QueryTemplate& q,
   if (options.use_integrity_constraints &&
       InsertionIrrelevantByConstraints(u, q, catalog)) {
     plan.kind = PlanKind::kNeverInvalidate;
-    plan.never_invalidate = true;
     plan.rationale =
         "A=0: insertion irrelevant by PK/FK integrity constraints (4.5)";
     return plan;

@@ -150,10 +150,9 @@ struct ParamProgram {
 
 // The compiled decision procedure of one (update, query) template pair.
 struct PairPlan {
+  // kNeverInvalidate is the template-level decision (the A cell): DNI for
+  // the whole template group.
   PlanKind kind = PlanKind::kSolverFallback;
-  // Template-level decision (the A cell): true means DNI for the whole
-  // template group — kind is kNeverInvalidate exactly when this is set.
-  bool never_invalidate = false;
   templates::UpdateClass update_class = templates::UpdateClass::kInsertion;
   ParamProgram program;  // Populated for kParamProgram.
   std::string rationale;  // Human-readable justification.

@@ -154,12 +154,13 @@ void QueryCache::Insert(CacheEntry entry) {
     // statement program the probes were derived against; anything else is
     // decided at template level and must stay in the always-visited rest.
     std::optional<sql::Value> index_key;
-    const ViewIndexPlan* index = view_index_.load(std::memory_order_acquire);
-    if (index != nullptr && fresh.template_index != CacheEntry::kNoTemplate &&
+    if (view_index_ != nullptr &&
+        fresh.template_index != CacheEntry::kNoTemplate &&
         fresh.statement.has_value() &&
         (fresh.level == analysis::ExposureLevel::kStmt ||
          fresh.level == analysis::ExposureLevel::kView)) {
-      index_key = index->IndexKeyFor(fresh.template_index, *fresh.statement);
+      index_key =
+          view_index_->IndexKeyFor(fresh.template_index, *fresh.statement);
     }
     Group& group = shard.groups[fresh.template_index];
     if (index_key.has_value()) {
@@ -212,46 +213,33 @@ std::vector<std::string> QueryCache::GroupEntryKeys(size_t group) const {
 }
 
 size_t QueryCache::InvalidateEntries(
-    const std::function<bool(size_t group)>& group_may_invalidate,
-    const std::function<bool(const CacheEntry&)>& should_invalidate,
-    const std::function<GroupProbe(size_t group)>& group_probe) {
+    const std::vector<GroupVisit>& visits,
+    const std::function<bool(const CacheEntry&)>& should_invalidate) {
   size_t invalidated = 0;
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
-    // Group ids first: erasing a group's last entry drops it from the index.
-    std::vector<size_t> group_ids;
-    group_ids.reserve(shard.groups.size());
-    for (const auto& [group, entries] : shard.groups) {
-      group_ids.push_back(group);
-    }
-    for (size_t group : group_ids) {
-      if (!group_may_invalidate(group)) continue;
-      const auto group_it = shard.groups.find(group);
-      DSSP_CHECK(group_it != shard.groups.end());
+    for (const GroupVisit& visit : visits) {
+      const auto group_it = shard.groups.find(visit.group);
+      if (group_it == shard.groups.end()) continue;
+      // Keys first: erasing a group's last entry drops it from the index.
       const Group& members = group_it->second;
       std::vector<std::string> keys;
-      GroupProbe::Mode mode = GroupProbe::Mode::kScanAll;
-      if (group_probe != nullptr && !members.by_value.empty()) {
-        const GroupProbe probe = group_probe(group);
-        mode = probe.mode;
-        if (mode == GroupProbe::Mode::kProbe) {
+      switch (visit.probe.mode) {
+        case ProbeMode::kScanAll:
+          keys = AllGroupKeys(members.by_value, members.rest);
+          break;
+        case ProbeMode::kScanRest:
+          keys.assign(members.rest.begin(), members.rest.end());
+          break;
+        case ProbeMode::kProbe: {
           // Rest entries plus the probes' candidates; the set keeps the
           // visit order sorted, like the full scan's.
           std::set<std::string> candidates(members.rest.begin(),
                                            members.rest.end());
-          probe.CollectCandidates(members.by_value, &candidates);
+          visit.probe.CollectCandidates(members.by_value, &candidates);
           keys.assign(candidates.begin(), candidates.end());
+          break;
         }
-      }
-      switch (mode) {
-        case GroupProbe::Mode::kScanAll:
-          keys = AllGroupKeys(members.by_value, members.rest);
-          break;
-        case GroupProbe::Mode::kScanRest:
-          keys.assign(members.rest.begin(), members.rest.end());
-          break;
-        case GroupProbe::Mode::kProbe:
-          break;  // Collected above.
       }
       for (const std::string& key : keys) {
         const auto it = shard.entries.find(key);

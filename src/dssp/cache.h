@@ -47,10 +47,10 @@ struct CacheEntry {
 };
 
 // The DSSP's store of cached query results for one application, with a
-// per-exposed-template secondary index so invalidation can prune whole
-// template groups using template-level analysis before doing per-entry
-// work, and optional LRU capacity management (a shared provider bounds each
-// tenant's memory).
+// per-exposed-template secondary index so invalidation visits only the
+// groups (and, within a group, the entries) a ViewIndexPlan lists, and
+// optional LRU capacity management (a shared provider bounds each tenant's
+// memory).
 //
 // Thread safety: safe for concurrent use. Entries are hashed across
 // kNumShards lock-striped shards, each with its own hash map, per-template
@@ -64,7 +64,12 @@ class QueryCache {
  public:
   static constexpr size_t kNumShards = 8;
 
-  QueryCache() = default;
+  // Statement-exposed entries are keyed under `view_index` at Insert
+  // (`view_index` must outlive the cache). Without one, every entry stays
+  // in its group's unindexed rest set, which every visit reads — sound,
+  // just unpruned.
+  explicit QueryCache(const ViewIndexPlan* view_index = nullptr)
+      : view_index_(view_index) {}
 
   // Neither copyable nor movable (shards contain mutexes); construct in
   // place.
@@ -75,9 +80,6 @@ class QueryCache {
   // current size evicts least-recently-used entries immediately (counted
   // separately from insert-overflow evictions).
   void SetCapacity(size_t max_entries);
-  size_t capacity() const {
-    return max_entries_.load(std::memory_order_relaxed);
-  }
 
   // Capacity evictions, split by cause. evictions() is their sum.
   uint64_t insert_evictions() const {
@@ -116,38 +118,25 @@ class QueryCache {
   // iterating).
   std::vector<std::string> GroupEntryKeys(size_t group) const;
 
-  // The one removal path for consistency: visits shards one at a time (so
-  // invalidating one group never blocks lookups in other shards), skipping
-  // whole groups when `group_may_invalidate` returns false and erasing each
-  // remaining entry for which `should_invalidate` returns true. Returns
-  // entries erased.
+  // The one removal path for consistency: carries out a visit list (see
+  // ViewIndexPlan::PlanVisits) and erases each visited entry for which
+  // `should_invalidate` returns true. Returns entries erased.
   //
-  // A non-null `group_probe` narrows which entries of a surviving group are
-  // visited (GroupProbe::kScanAll is the plain scan; kScanRest / kProbe
-  // skip indexed entries the ViewIndexPlan proved `should_invalidate` would
-  // decline). Unindexed entries are always visited. A null `group_probe`
-  // scans every entry of each surviving group. Entry visit order within a
-  // group is sorted by key either way, so stale-retention FIFO order is
-  // identical whenever the erased sets are.
+  // Visits shards one at a time, so invalidating never blocks lookups in
+  // other shards. In each shard it walks `visits` in order, skipping groups
+  // the shard does not hold. Each visit's probe says which entries of the
+  // group are visited: kScanAll every entry; kScanRest / kProbe skip the
+  // indexed entries the ViewIndexPlan proved `should_invalidate` would
+  // decline. Unindexed entries are always visited. Within a group the
+  // visit order is sorted by key whatever the probe, and `visits` must be
+  // in ascending group order (PlanVisits' order), so stale-retention FIFO
+  // order is identical whenever the erased sets are.
   //
-  // All callbacks run under a shard lock and must not call back into this
-  // cache. `group_may_invalidate` (and `group_probe`) may be called once
-  // per (shard, group); memoize in the caller if the decision is expensive.
+  // `should_invalidate` runs under a shard lock and must not call back into
+  // this cache.
   size_t InvalidateEntries(
-      const std::function<bool(size_t group)>& group_may_invalidate,
-      const std::function<bool(const CacheEntry&)>& should_invalidate,
-      const std::function<GroupProbe(size_t group)>& group_probe = nullptr);
-
-  // Installs the compiled predicate index used to key entries at Insert
-  // (`plan` must outlive the cache or be reset to nullptr first). Entries
-  // inserted before the plan is installed stay in their group's unindexed
-  // rest set, which every probe visits — sound, just unpruned.
-  void SetViewIndex(const ViewIndexPlan* plan) {
-    view_index_.store(plan, std::memory_order_release);
-  }
-  const ViewIndexPlan* view_index() const {
-    return view_index_.load(std::memory_order_acquire);
-  }
+      const std::vector<GroupVisit>& visits,
+      const std::function<bool(const CacheEntry&)>& should_invalidate);
 
   // Erases everything; returns how many. Also drops the stale side store.
   size_t Clear();
@@ -167,9 +156,6 @@ class QueryCache {
   // Caps the side store's entry count; 0 (default) disables retention and
   // drops anything currently retained.
   void SetStaleRetention(size_t max_entries);
-  size_t stale_retention() const {
-    return stale_capacity_.load(std::memory_order_relaxed);
-  }
   size_t StaleSize() const;
 
   // Advances the update epoch; call once per observed update, after its
@@ -256,7 +242,7 @@ class QueryCache {
   };
 
   std::array<Shard, kNumShards> shards_;
-  std::atomic<const ViewIndexPlan*> view_index_{nullptr};
+  const ViewIndexPlan* const view_index_;
   mutable Mutex stale_mu_;
   std::unordered_map<std::string, StaleStored> stale_
       DSSP_GUARDED_BY(stale_mu_);

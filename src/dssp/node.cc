@@ -1,7 +1,5 @@
 #include "dssp/node.h"
 
-#include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "analysis/audit.h"
@@ -21,6 +19,20 @@ DsspStats DsspNode::AtomicStats::Snapshot() const {
   out.rejected_notices = rejected_notices.load(std::memory_order_relaxed);
   return out;
 }
+
+DsspNode::AppState::AppState(const catalog::Catalog& catalog,
+                             const templates::TemplateSet& templates)
+    : templates(&templates),
+      // Compile the invalidation plan ahead of time: one PairPlan per
+      // (update template, query template) pair, so the serving hot path
+      // does an O(1) lookup + compiled-program eval instead of re-running
+      // the Section 4 analysis per cached entry.
+      plan(analysis::InvalidationPlan::Compile(templates, catalog)),
+      view_index(ViewIndexPlan::Compile(templates, catalog, plan)),
+      strategy(catalog, plan),
+      // Built after the view index, so every statement-exposed entry is
+      // keyed under its discriminator bound.
+      cache(&view_index) {}
 
 Status DsspNode::RegisterApp(std::string app_id,
                              const catalog::Catalog* catalog,
@@ -46,27 +58,11 @@ Status DsspNode::RegisterApp(std::string app_id,
     }
   }
   WriterMutexLock lock(mu_);
-  const auto [it, inserted] = apps_.try_emplace(std::move(app_id));
+  const auto [it, inserted] =
+      apps_.try_emplace(std::move(app_id), *catalog, *templates);
   if (!inserted) {
     return AlreadyExistsError("application " + it->first);
   }
-  AppState& state = it->second;
-  state.catalog = catalog;
-  state.templates = templates;
-  // Compile the invalidation plan ahead of time: one PairPlan per
-  // (update template, query template) pair, so the serving hot path does an
-  // O(1) lookup + compiled-program eval instead of re-running the Section 4
-  // analysis per cached entry.
-  state.plan = std::make_unique<const analysis::InvalidationPlan>(
-      analysis::InvalidationPlan::Compile(*templates, *catalog));
-  // Derive the predicate index from the compiled plan and install it before
-  // any entry is stored, so every statement-exposed entry gets keyed under
-  // its discriminator bound.
-  state.view_index = std::make_unique<const ViewIndexPlan>(
-      ViewIndexPlan::Compile(*templates, *catalog, *state.plan));
-  state.cache.SetViewIndex(state.view_index.get());
-  state.strategy = std::make_unique<invalidation::MixedStrategy>(
-      *catalog, *state.plan);
   return Status::Ok();
 }
 
@@ -143,6 +139,15 @@ void DsspNode::SetStaleRetention(const std::string& app_id,
 void DsspNode::Store(const std::string& app_id, CacheEntry entry) {
   AppState* app = FindApp(app_id);
   if (app == nullptr) return;
+  // Invalidation reaches an entry only through its group, and decides a
+  // whole group from its template: a blind entry filed under a template, a
+  // template-exposed one with no template, or an index past the app's
+  // templates would be visited wrongly or never. Refuse it uncached.
+  const bool blind = entry.level == analysis::ExposureLevel::kBlind;
+  if (blind ? entry.template_index != CacheEntry::kNoTemplate
+            : entry.template_index >= app->templates->num_queries()) {
+    return;
+  }
   app->stats.stores.fetch_add(1, std::memory_order_relaxed);
   app->cache.Insert(std::move(entry));
 }
@@ -174,11 +179,6 @@ Status DsspNode::ValidateNotice(const std::string& app_id,
   return ValidateNoticeFor(*app, notice);
 }
 
-const ViewIndexPlan* DsspNode::GetViewIndex(const std::string& app_id) const {
-  const AppState* app = FindApp(app_id);
-  return app == nullptr ? nullptr : app->view_index.get();
-}
-
 size_t DsspNode::OnUpdate(const std::string& app_id,
                           const UpdateNotice& notice) {
   AppState* app = FindApp(app_id);
@@ -204,39 +204,6 @@ size_t DsspNode::OnUpdate(const std::string& app_id,
     update_view.statement = &*notice.statement;
   }
 
-  // Group-level prefilter, decided once per group across all shards: with
-  // only the query template exposed (the IPM's A cell). Our statement- and
-  // view-inspection strategies refine the template-level decision
-  // monotonically, so a template-level DNI is final for the whole group.
-  //
-  // The memo is a flat vector indexed by query template (last slot =
-  // kNoTemplate group), reused across updates to avoid per-update map
-  // allocations. thread_local rather than per-app: OnUpdate runs
-  // concurrently on the same app, and the memo is per-update scratch.
-  static thread_local std::vector<int8_t> group_decisions;
-  const size_t num_groups = app->templates->num_queries() + 1;
-  group_decisions.assign(num_groups, -1);  // -1 undecided, 0 DNI, 1 maybe.
-  const auto group_may_invalidate = [&](size_t group) {
-    const size_t slot =
-        group == CacheEntry::kNoTemplate ? num_groups - 1 : group;
-    DSSP_CHECK(slot < num_groups);
-    if (group_decisions[slot] < 0) {
-      invalidation::CachedQueryView group_view;
-      if (group == CacheEntry::kNoTemplate) {
-        group_view.level = analysis::ExposureLevel::kBlind;
-      } else {
-        group_view.level = analysis::ExposureLevel::kTemplate;
-        group_view.tmpl = &app->templates->queries()[group];
-        group_view.template_index = group;
-      }
-      group_decisions[slot] =
-          app->strategy->Decide(update_view, group_view) !=
-                  invalidation::Decision::kDoNotInvalidate
-              ? 1
-              : 0;
-    }
-    return group_decisions[slot] != 0;
-  };
   const auto should_invalidate = [&](const CacheEntry& entry) {
     invalidation::CachedQueryView view;
     view.level = entry.level;
@@ -246,45 +213,19 @@ size_t DsspNode::OnUpdate(const std::string& app_id,
     }
     if (entry.statement.has_value()) view.statement = &*entry.statement;
     if (entry.result.has_value()) view.result = &*entry.result;
-    return app->strategy->Decide(update_view, view) ==
+    return app->strategy.Decide(update_view, view) ==
            invalidation::Decision::kInvalidate;
   };
 
-  // Predicate-index probe, one per surviving group (memoized like the group
-  // decisions above). Only a statement-exposed update can be probed: the
-  // index's skip proofs are derived against the compiled statement programs,
-  // which need the update's bound literals. The probe only prunes which
-  // entries are *visited*; every visited entry still goes through
-  // should_invalidate, so a probed pass can never invalidate an entry the
-  // plain scan would keep.
-  const ViewIndexPlan* view_index = app->view_index.get();
-  const bool can_probe =
-      view_index != nullptr &&
-      notice.level == analysis::ExposureLevel::kStmt &&
-      update_view.tmpl != nullptr && update_view.statement != nullptr;
-  static thread_local std::vector<GroupProbe> group_probes;
-  static thread_local std::vector<int8_t> probe_ready;
-  // Template and blind notices leave it null: the cache scans every entry
-  // of each surviving group.
-  std::function<GroupProbe(size_t group)> group_probe;
-  if (can_probe) {
-    group_probes.resize(num_groups);
-    probe_ready.assign(num_groups, 0);
-    group_probe = [&](size_t group) -> GroupProbe {
-      if (group >= app->templates->num_queries()) {
-        return GroupProbe{};  // Blind group (kNoTemplate): always scan all.
-      }
-      if (!probe_ready[group]) {
-        group_probes[group] = view_index->BuildGroupProbe(
-            update_view.template_index, group, *update_view.statement);
-        probe_ready[group] = 1;
-      }
-      return group_probes[group];
-    };
-  }
-
-  const size_t invalidated = app->cache.InvalidateEntries(
-      group_may_invalidate, should_invalidate, group_probe);
+  // The compiled visit list (ViewIndexPlan::PlanVisits) only prunes which
+  // entries are visited; every visited entry still goes through
+  // should_invalidate. Per-thread scratch: OnUpdate runs concurrently.
+  static thread_local std::vector<GroupVisit> visits;
+  static_assert(invalidation::kNoTemplateIndex == CacheEntry::kNoTemplate);
+  app->view_index.PlanVisits(update_view.template_index, update_view.statement,
+                             &visits);
+  const size_t invalidated =
+      app->cache.InvalidateEntries(visits, should_invalidate);
   app->stats.entries_invalidated.fetch_add(invalidated,
                                            std::memory_order_relaxed);
   // Entries this update just killed are now exactly 1 update stale.

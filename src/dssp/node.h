@@ -179,10 +179,6 @@ class DsspNode : public CacheBackend {
   Status ValidateNotice(const std::string& app_id,
                         const UpdateNotice& notice) const;
 
-  // The compiled predicate-index plan of an app (nullptr when unknown);
-  // introspection for tests and the ablation harness.
-  const ViewIndexPlan* GetViewIndex(const std::string& app_id) const;
-
   // Caps one application's cache entry count (0 = unlimited). A shared
   // provider uses this to bound each tenant's memory; overflow evicts the
   // least recently used entries.
@@ -216,18 +212,23 @@ class DsspNode : public CacheBackend {
     DsspStats Snapshot() const;
   };
 
+  // One registered application, built once in place at registration: the
+  // members are initialized in declaration order, and each later one reads
+  // the earlier ones. Stays put afterwards (apps_ map nodes do not move),
+  // so the references between members stay valid.
   struct AppState {
-    const catalog::Catalog* catalog = nullptr;
-    const templates::TemplateSet* templates = nullptr;
+    AppState(const catalog::Catalog& catalog,
+             const templates::TemplateSet& templates);
+
+    const templates::TemplateSet* const templates;
+    // The strategies answer every per-entry decision from the compiled
+    // plan instead of re-deriving the template analysis per cached entry.
+    const analysis::InvalidationPlan plan;
+    // Derived from `plan`: which groups each update visits, and the
+    // predicate index the cache keys statement-exposed entries under.
+    const ViewIndexPlan view_index;
+    const invalidation::MixedStrategy strategy;
     QueryCache cache;
-    // Compiled once at registration; the strategy answers invalidation
-    // decisions from it instead of re-deriving the template analysis per
-    // cached entry. Owned here so the strategy's pointer stays valid.
-    std::unique_ptr<const analysis::InvalidationPlan> plan;
-    // Predicate index derived from `plan`; the cache keys entries under it
-    // at Insert and OnUpdate probes it to visit only candidate entries.
-    std::unique_ptr<const ViewIndexPlan> view_index;
-    std::unique_ptr<invalidation::MixedStrategy> strategy;
     AtomicStats stats;
   };
 

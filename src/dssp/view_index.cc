@@ -4,6 +4,7 @@
 
 #include "analysis/query_slots.h"
 #include "common/macros.h"
+#include "dssp/cache.h"
 
 namespace dssp::service {
 
@@ -172,43 +173,33 @@ PairProbe CompilePairProbe(const PairPlan& plan,
   PairProbe out;
   switch (plan.kind) {
     case PlanKind::kNeverInvalidate:
-      // The group prefilter skips the whole group; if consulted anyway,
-      // indexed entries are DNI by the same plan.
-      out.kind = PairProbe::Kind::kSkipIndexed;
+      // PlanVisits never lists the group; if visited anyway, indexed
+      // entries are DNI by the same plan.
+      out.mode = ProbeMode::kScanRest;
       return out;
     case PlanKind::kAlwaysInvalidate:
     case PlanKind::kViewTest:
     case PlanKind::kSolverFallback:
-      out.kind = PairProbe::Kind::kScan;
-      return out;
+      return out;  // kScanAll.
     case PlanKind::kParamProgram:
       break;
   }
   if (plan.program.num_checks() == 0) {
     // Independent for every binding: indexed entries are provably DNI.
-    out.kind = PairProbe::Kind::kSkipIndexed;
+    out.mode = ProbeMode::kScanRest;
     return out;
   }
-  if (!spec.indexable) {
-    out.kind = PairProbe::Kind::kScan;
-    return out;
-  }
+  if (!spec.indexable) return out;  // kScanAll.
   // Every check must constrain the discriminator, otherwise some check
   // could fire for an entry no probe selects.
   for (const CompiledInsertCheck& check : plan.program.insert_checks) {
     const auto probe = ProbeFromValueTests(check.tests, spec);
-    if (!probe.has_value()) {
-      out.kind = PairProbe::Kind::kScan;
-      return out;
-    }
+    if (!probe.has_value()) return PairProbe{};  // kScanAll.
     out.probes.push_back(*probe);
   }
   for (const CompiledSatCheck& check : plan.program.sat_checks) {
     const auto probe = ProbeFromConstraints(check.constraints, spec);
-    if (!probe.has_value()) {
-      out.kind = PairProbe::Kind::kScan;
-      return out;
-    }
+    if (!probe.has_value()) return PairProbe{};  // kScanAll.
     out.probes.push_back(*probe);
   }
   for (const CompiledEntryCheck& check : plan.program.entry_checks) {
@@ -216,13 +207,10 @@ PairProbe CompilePairProbe(const PairPlan& plan,
     if (!probe.has_value()) {
       probe = ProbeFromConstraints(check.residual, spec);
     }
-    if (!probe.has_value()) {
-      out.kind = PairProbe::Kind::kScan;
-      return out;
-    }
+    if (!probe.has_value()) return PairProbe{};  // kScanAll.
     out.probes.push_back(*probe);
   }
-  out.kind = PairProbe::Kind::kProbe;
+  out.mode = ProbeMode::kProbe;
   CollectUpdateRefs(plan.program, &out.update_refs);
   return out;
 }
@@ -244,11 +232,15 @@ ViewIndexPlan ViewIndexPlan::Compile(const templates::TemplateSet& templates,
   }
 
   out.pairs_.reserve(out.num_updates_ * out.num_queries_);
+  out.may_invalidate_.resize(out.num_updates_);
   for (size_t ui = 0; ui < out.num_updates_; ++ui) {
     for (size_t qi = 0; qi < out.num_queries_; ++qi) {
       const PairPlan& pair = plan.pair(ui, qi);
+      if (pair.kind != PlanKind::kNeverInvalidate) {
+        out.may_invalidate_[ui].push_back(qi);
+      }
       PairProbe probe = CompilePairProbe(pair, out.specs_[qi]);
-      if (probe.kind == PairProbe::Kind::kProbe) {
+      if (probe.mode == ProbeMode::kProbe) {
         CollectQueryCoords(pair.program, &out.specs_[qi].required_literals);
       }
       out.pairs_.push_back(std::move(probe));
@@ -292,15 +284,8 @@ GroupProbe ViewIndexPlan::BuildGroupProbe(size_t update_index,
                                           const sql::Statement& update) const {
   const PairProbe& pair = pair_probe(update_index, query_index);
   GroupProbe out;
-  switch (pair.kind) {
-    case PairProbe::Kind::kScan:
-      return out;  // kScanAll.
-    case PairProbe::Kind::kSkipIndexed:
-      out.mode = GroupProbe::Mode::kScanRest;
-      return out;
-    case PairProbe::Kind::kProbe:
-      break;
-  }
+  out.mode = pair.mode;
+  if (pair.mode != ProbeMode::kProbe) return out;
   // If any update-side coordinate fails to fetch (the bound statement is
   // not a binding of the compiled template), EvaluatePairPlan invalidates
   // every entry — visit them all.
@@ -309,7 +294,6 @@ GroupProbe ViewIndexPlan::BuildGroupProbe(size_t update_index,
       return GroupProbe{};
     }
   }
-  out.mode = GroupProbe::Mode::kProbe;
   out.spec_op = specs_[query_index].op;
   for (const ProbeRef& probe : pair.probes) {
     const sql::Value* v = analysis::FetchFromUpdate(probe.value, update);
@@ -320,6 +304,25 @@ GroupProbe ViewIndexPlan::BuildGroupProbe(size_t update_index,
     out.probes.emplace_back(probe.op, *v);
   }
   return out;
+}
+
+void ViewIndexPlan::PlanVisits(size_t update_index,
+                               const sql::Statement* update,
+                               std::vector<GroupVisit>* out) const {
+  out->clear();
+  if (update_index == CacheEntry::kNoTemplate) {
+    // A notice that exposes no template may touch every group.
+    for (size_t qi = 0; qi < num_queries_; ++qi) out->push_back({qi, {}});
+  } else {
+    DSSP_CHECK(update_index < num_updates_);
+    for (const size_t qi : may_invalidate_[update_index]) {
+      out->push_back(
+          {qi, update == nullptr ? GroupProbe{}
+                                 : BuildGroupProbe(update_index, qi, *update)});
+    }
+  }
+  // Blind entries reveal no template: every update may touch them.
+  out->push_back({CacheEntry::kNoTemplate, {}});
 }
 
 void GroupProbe::CollectCandidates(const ValueKeyMap& by_value,
@@ -400,14 +403,14 @@ ViewIndexPlan::Summary ViewIndexPlan::Summarize() const {
     if (spec.indexable) ++summary.indexable_queries;
   }
   for (const PairProbe& pair : pairs_) {
-    switch (pair.kind) {
-      case PairProbe::Kind::kProbe:
+    switch (pair.mode) {
+      case ProbeMode::kProbe:
         ++summary.probe_pairs;
         break;
-      case PairProbe::Kind::kSkipIndexed:
+      case ProbeMode::kScanRest:
         ++summary.skip_pairs;
         break;
-      case PairProbe::Kind::kScan:
+      case ProbeMode::kScanAll:
         ++summary.scan_pairs;
         break;
     }

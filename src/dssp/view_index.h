@@ -19,17 +19,20 @@ namespace dssp::service {
 // ---------------------------------------------------------------------------
 // Predicate-indexed view registry (compiled side).
 //
-// PR 3 made each (update, query) pair decision O(1), but OnUpdate still
-// visits every cached entry of every non-DNI template group, so the
-// per-update invalidation cost is linear in the number of cached views.
-// This plan makes it sublinear: for each query template it picks one WHERE
-// conjunct `column op ?` — the *discriminator* — and QueryCache keys every
-// statement-exposed entry of that template under the literal bound at that
-// conjunct, in an ordered per-group map (one structure serves both equality
-// point probes and range probes). At update time, BuildGroupProbe turns the
-// pair's compiled ParamProgram into a constraint on the discriminator bound;
-// the cache then visits only entries whose bound can satisfy it, plus the
-// group's unindexed rest.
+// The compiled InvalidationPlan makes each (update, query) pair decision
+// O(1), but visiting every cached entry of every group an update may touch
+// would still make the per-update invalidation cost linear in the number of
+// cached views. This plan decides which groups an update notice visits and
+// how, and makes the visit sublinear: for each query template it picks one
+// WHERE conjunct `column op ?` — the *discriminator* — and QueryCache keys
+// every statement-exposed entry of that template under the literal bound at
+// that conjunct, in an ordered per-group map (one structure serves both
+// equality point probes and range probes). Which groups: PlanVisits lists,
+// per update template, the groups whose pair is not kNeverInvalidate (the
+// IPM's A cell, static per pair), plus the blind group. How: BuildGroupProbe
+// turns the pair's compiled ParamProgram into a constraint on the
+// discriminator bound; the cache then visits only entries whose bound can
+// satisfy it, plus the group's unindexed rest.
 //
 // Soundness contract: an indexed entry may be skipped ONLY when
 // EvaluatePairPlan would return kIndependent for it. The derivation below
@@ -102,20 +105,20 @@ struct ProbeRef {
   analysis::ValueRef value;  // Const or update-side coordinate.
 };
 
-// How OnUpdate may visit one (update template, query template) group.
-struct PairProbe {
-  enum class Kind {
-    // The program has no checks (independent for every binding): indexed
-    // entries are provably DNI; only the rest set needs visiting.
-    kSkipIndexed,
-    // Every check constrains the discriminator: probe the value index.
-    kProbe,
-    // Not probeable (kAlwaysInvalidate / kViewTest / kSolverFallback, or a
-    // program with a non-discriminating check): scan the whole group.
-    kScan,
-  };
+// How invalidation visits one cached template group.
+enum class ProbeMode {
+  kScanAll,   // Visit every entry.
+  kScanRest,  // Visit only unindexed entries; indexed ones are provably DNI.
+  kProbe,     // Visit rest + the candidates the probes select.
+};
 
-  Kind kind = Kind::kScan;
+// How an update template's notices may visit one query template's group.
+// kScanRest: the pair is kNeverInvalidate, or its program has no checks
+// (independent for every binding). kProbe: every check constrains the
+// discriminator. kScanAll: anything else (kAlwaysInvalidate / kViewTest /
+// kSolverFallback, or a program with a non-discriminating check).
+struct PairProbe {
+  ProbeMode mode = ProbeMode::kScanAll;
   std::vector<ProbeRef> probes;  // One per check; kProbe only.
   // Every update-side coordinate the pair's program fetches. If any fails
   // to fetch from the bound update, EvaluatePairPlan invalidates every
@@ -125,13 +128,7 @@ struct PairProbe {
 
 // A fully resolved probe for one group, built once per (update, group).
 struct GroupProbe {
-  enum class Mode {
-    kScanAll,      // Visit every entry (legacy behavior).
-    kScanRest,     // Visit only unindexed entries; indexed are provably DNI.
-    kProbe,        // Visit rest + candidates selected by `probes`.
-  };
-
-  Mode mode = Mode::kScanAll;
+  ProbeMode mode = ProbeMode::kScanAll;
   sql::CompareOp spec_op = sql::CompareOp::kEq;  // Discriminator operator.
   std::vector<std::pair<sql::CompareOp, sql::Value>> probes;
 
@@ -141,11 +138,20 @@ struct GroupProbe {
                          std::set<std::string>* out) const;
 };
 
+// One cached group an update notice visits, and how: `group` is a query
+// template index, or CacheEntry::kNoTemplate for the blind entries.
+struct GroupVisit {
+  size_t group = 0;
+  GroupProbe probe;
+};
+
 // The compiled predicate-index plan of one application: one
-// TemplateIndexSpec per query template plus one PairProbe per
-// (update, query) pair, derived from (and soundly subordinate to) the
-// compiled InvalidationPlan. Compiled once at app registration; immutable
-// afterwards, so concurrent readers need no locking.
+// TemplateIndexSpec per query template, one PairProbe per (update, query)
+// pair, and per update template the list of groups its notices visit, all
+// derived from (and soundly subordinate to) the compiled InvalidationPlan.
+// It is the one place that decides which cached groups an update visits
+// and how. Compiled once at app registration; immutable afterwards, so
+// concurrent readers need no locking.
 class ViewIndexPlan {
  public:
   static ViewIndexPlan Compile(const templates::TemplateSet& templates,
@@ -176,6 +182,23 @@ class ViewIndexPlan {
   GroupProbe BuildGroupProbe(size_t update_index, size_t query_index,
                              const sql::Statement& update) const;
 
+  // Fills `out` with the groups one update notice visits, in ascending
+  // group order with the blind group last (the cache's own group order):
+  //  - `update_index` names an update template: the query groups whose
+  //    pair is not kNeverInvalidate (the IPM's A cell is static, so this
+  //    list is compiled once), each probed against `update` when it is
+  //    non-null (stmt-level notices) and scanned whole otherwise;
+  //  - `update_index` is CacheEntry::kNoTemplate (the notice exposes no
+  //    template): every query group, scanned whole.
+  // The blind group is always visited and scanned whole. Skipping a
+  // kNeverInvalidate group is sound because the statement- and view-level
+  // strategies only refine the template-level decision, so its DNI holds
+  // for every entry of the group (DsspNode::Store keeps blind entries out
+  // of template groups). Every visited entry is still decided by the
+  // strategy; the list only says which entries can possibly be invalidated.
+  void PlanVisits(size_t update_index, const sql::Statement* update,
+                  std::vector<GroupVisit>* out) const;
+
   size_t num_updates() const { return num_updates_; }
   size_t num_queries() const { return num_queries_; }
 
@@ -192,6 +215,9 @@ class ViewIndexPlan {
   size_t num_queries_ = 0;
   std::vector<TemplateIndexSpec> specs_;   // One per query template.
   std::vector<PairProbe> pairs_;           // Row-major like InvalidationPlan.
+  // Per update template, the query groups its pairs may invalidate
+  // (every pair that is not kNeverInvalidate), ascending.
+  std::vector<std::vector<size_t>> may_invalidate_;
 };
 
 }  // namespace dssp::service

@@ -38,10 +38,10 @@ const analysis::PairPlan* FindPair(const analysis::InvalidationPlan& plan,
 
 Decision TemplateInspectionStrategy::Decide(
     const UpdateView& update, const CachedQueryView& query) const {
-  // never_invalidate is the compiled A cell: the pair is ignorable
+  // kNeverInvalidate is the compiled A cell: the pair is ignorable
   // (Lemma 1) or ruled out by the Section 4.5 PK/FK rules.
   const analysis::PairPlan* pair = FindPair(plan_, update, query);
-  return pair != nullptr && pair->never_invalidate
+  return pair != nullptr && pair->kind == analysis::PlanKind::kNeverInvalidate
              ? Decision::kDoNotInvalidate
              : Decision::kInvalidate;
 }
@@ -50,7 +50,9 @@ Decision StatementInspectionStrategy::Decide(
     const UpdateView& update, const CachedQueryView& query) const {
   const analysis::PairPlan* pair = FindPair(plan_, update, query);
   if (pair == nullptr) return Decision::kInvalidate;
-  if (pair->never_invalidate) return Decision::kDoNotInvalidate;
+  if (pair->kind == analysis::PlanKind::kNeverInvalidate) {
+    return Decision::kDoNotInvalidate;
+  }
   if (update.statement == nullptr || query.statement == nullptr) {
     return Decision::kInvalidate;
   }

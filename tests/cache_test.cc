@@ -20,17 +20,24 @@ CacheEntry Entry(const std::string& key, size_t template_index,
   return entry;
 }
 
+// A visit list that scans each of `groups` whole.
+std::vector<GroupVisit> ScanGroups(const std::vector<size_t>& groups) {
+  std::vector<GroupVisit> visits;
+  for (const size_t group : groups) visits.push_back({group, GroupProbe{}});
+  return visits;
+}
+
 // Consistency removals go through InvalidateEntries, the one removal path
-// the node drives: one key (every group survives, only `key` matches) or one
-// whole group (only `group` survives, every entry in it matches).
+// the node drives: one key (every group visited, only `key` matches) or one
+// whole group (only `group` visited, every entry in it matches).
 size_t InvalidateKey(QueryCache& cache, const std::string& key) {
   return cache.InvalidateEntries(
-      [](size_t) { return true; },
+      ScanGroups(cache.GroupKeys()),
       [&key](const CacheEntry& entry) { return entry.key == key; });
 }
 
 size_t InvalidateGroup(QueryCache& cache, size_t group) {
-  return cache.InvalidateEntries([group](size_t g) { return g == group; },
+  return cache.InvalidateEntries(ScanGroups({group}),
                                  [](const CacheEntry&) { return true; });
 }
 
@@ -46,9 +53,9 @@ bool Holds(const QueryCache& cache, const std::string& key) {
 
 // Cross-checks the cache's own bookkeeping: the group index must account for
 // exactly size() entries, and every indexed entry must exist and belong to
-// its group. The entries are visited by an InvalidateEntries pass that
-// declines them all, which leaves the LRU order alone (the pass aborts on an
-// indexed key that has no entry).
+// its group. The entries are visited by one InvalidateEntries pass per group
+// that declines them all, which leaves the LRU order alone (the pass aborts
+// on an indexed key that has no entry).
 void ExpectConsistent(QueryCache& cache) {
   size_t indexed = 0;
   for (size_t group : cache.GroupKeys()) {
@@ -57,19 +64,15 @@ void ExpectConsistent(QueryCache& cache) {
     indexed += keys.size();
   }
   EXPECT_EQ(indexed, cache.size());
-  size_t current_group = 0;
   size_t visited = 0;
   const uint64_t removals = cache.invalidation_removals();
-  cache.InvalidateEntries(
-      [&current_group](size_t group) {
-        current_group = group;
-        return true;
-      },
-      [&](const CacheEntry& entry) {
-        EXPECT_EQ(entry.template_index, current_group) << entry.key;
-        ++visited;
-        return false;
-      });
+  for (const size_t group : cache.GroupKeys()) {
+    cache.InvalidateEntries(ScanGroups({group}), [&](const CacheEntry& entry) {
+      EXPECT_EQ(entry.template_index, group) << entry.key;
+      ++visited;
+      return false;
+    });
+  }
   EXPECT_EQ(visited, cache.size());
   EXPECT_EQ(cache.invalidation_removals(), removals);
 }
@@ -242,7 +245,7 @@ TEST(QueryCacheTest, InvalidateEntriesFiltersGroupsThenEntries) {
   cache.Insert(Entry("b1", 1));
   cache.Insert(Entry("b2", 1));
   const size_t erased = cache.InvalidateEntries(
-      [](size_t group) { return group == 1; },
+      ScanGroups({1}),
       [](const CacheEntry& entry) { return entry.key != "b2"; });
   EXPECT_EQ(erased, 1u);
   EXPECT_EQ(cache.size(), 3u);
@@ -322,10 +325,9 @@ TEST(StaleStoreTest, GroupAndFilteredInvalidationRetain) {
   cache.Insert(Entry("g1-a", 1));
   cache.Insert(Entry("g1-b", 1));
   InvalidateGroup(cache, 0);
-  cache.InvalidateEntries([](size_t group) { return group == 1; },
-                          [](const CacheEntry& entry) {
-                            return entry.key == "g1-a";
-                          });
+  cache.InvalidateEntries(
+      ScanGroups({1}),
+      [](const CacheEntry& entry) { return entry.key == "g1-a"; });
   cache.BumpUpdateEpoch();
   EXPECT_EQ(cache.StaleSize(), 3u);
   EXPECT_NE(cache.LookupStale("g0-a", 1), nullptr);

@@ -317,6 +317,31 @@ TEST(ClusterRouterTest, SingleNodeClusterBehavesLikeOneNode) {
   EXPECT_EQ(router.TotalCacheSize("kv"), node.CacheSize("kv"));
 }
 
+// Every member refuses an entry that breaks the group invariant (see
+// DsspNode::Store), so the write-through caches it nowhere.
+TEST(ClusterRouterTest, MembersRefuseEntriesOutsideTheirGroups) {
+  ClusterOptions options;
+  options.num_nodes = 4;
+  options.replication = 2;
+  ClusterRouter router(options);
+  auto app = MakeKvApp("kv", &router);
+
+  service::CacheEntry past_templates;
+  past_templates.key = "past";
+  past_templates.level = analysis::ExposureLevel::kTemplate;
+  past_templates.template_index = 1;  // The kv app has one query template.
+  past_templates.blob = "blob";
+  router.Store("kv", std::move(past_templates));
+  service::CacheEntry blind_under_template;
+  blind_under_template.key = "blind";
+  blind_under_template.template_index = 0;
+  blind_under_template.blob = "blob";
+  router.Store("kv", std::move(blind_under_template));
+
+  EXPECT_EQ(router.TotalCacheSize("kv"), 0u);
+  EXPECT_EQ(router.AppStats("kv").stores, 0u);
+}
+
 TEST(ClusterRouterTest, AppStatsSumsRejectedNotices) {
   ClusterOptions options;
   options.num_nodes = 2;

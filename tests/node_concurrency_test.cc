@@ -269,10 +269,13 @@ TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 8000;
   constexpr int kKeySpace = 512;
+  // Entries live in groups 0-3; each visit scans its group whole.
+  const std::vector<GroupVisit> all_groups = {
+      {0, {}}, {1, {}}, {2, {}}, {3, {}}};
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&cache, &all_groups, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int k = (i * 13 + t * 7) % kKeySpace;
         const std::string key = "k" + std::to_string(k);
@@ -283,14 +286,12 @@ TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
             break;
           case 2:
             cache.InvalidateEntries(
-                [](size_t) { return true; },
+                all_groups,
                 [&key](const CacheEntry& entry) { return entry.key == key; });
             break;
           case 3:
             cache.InvalidateEntries(
-                [group = static_cast<size_t>(i % 4)](size_t g) {
-                  return g == group;
-                },
+                {all_groups[static_cast<size_t>(i % 4)]},
                 [](const CacheEntry&) { return true; });
             break;
           case 4:

@@ -69,6 +69,64 @@ TEST_F(NodeTest, StatementNoticeSparesIndependentInstances) {
   EXPECT_EQ(node_.CacheSize("toystore"), 1u);
 }
 
+// ValidateNotice accepts a template-level notice that names no template;
+// it reveals no more than a blind one, so it must reach every group.
+TEST_F(NodeTest, TemplateNoticeWithoutTemplateInvalidatesEveryGroup) {
+  ASSERT_TRUE(app_->Query("Q2", {Value(7)}).ok());
+  ASSERT_TRUE(app_->Query("Q3", {Value(10001)}).ok());
+  CacheEntry blind;
+  blind.key = "blind-key";
+  blind.blob = "blob";
+  node_.Store("toystore", std::move(blind));
+  ASSERT_EQ(node_.CacheSize("toystore"), 3u);
+
+  UpdateNotice notice;
+  notice.level = ExposureLevel::kTemplate;
+  notice.template_index = CacheEntry::kNoTemplate;
+  ASSERT_TRUE(node_.ValidateNotice("toystore", notice).ok());
+  // U1 alone would spare Q3 (TemplateNoticeUsesIgnorability).
+  EXPECT_EQ(node_.OnUpdate("toystore", notice), 3u);
+  EXPECT_EQ(node_.CacheSize("toystore"), 0u);
+}
+
+// An entry whose template index is past the app's query templates has no
+// group an update could visit: it is refused, not cached and not counted.
+TEST_F(NodeTest, StoreRefusesOutOfRangeTemplateIndex) {
+  for (const ExposureLevel level :
+       {ExposureLevel::kTemplate, ExposureLevel::kStmt, ExposureLevel::kView}) {
+    CacheEntry entry;
+    entry.key = "bad-index";
+    entry.level = level;
+    entry.template_index = app_->templates().num_queries();
+    entry.blob = "blob";
+    node_.Store("toystore", entry);
+    entry.template_index = CacheEntry::kNoTemplate;  // Exposed, no template.
+    node_.Store("toystore", std::move(entry));
+  }
+  EXPECT_EQ(node_.CacheSize("toystore"), 0u);
+  EXPECT_EQ(node_.stats("toystore").stores, 0u);
+
+  // The node survives the next update, and good entries still store.
+  UpdateNotice blind;
+  EXPECT_EQ(node_.OnUpdate("toystore", blind), 0u);
+  ASSERT_TRUE(app_->Query("Q2", {Value(7)}).ok());
+  EXPECT_EQ(node_.CacheSize("toystore"), 1u);
+  EXPECT_EQ(node_.stats("toystore").stores, 1u);
+}
+
+// A blind entry reveals no template, so it must not be filed under one: a
+// template notice that spares that template's group would spare it too.
+TEST_F(NodeTest, StoreRefusesBlindEntryUnderATemplate) {
+  CacheEntry entry;
+  entry.key = "blind-under-q3";
+  entry.level = ExposureLevel::kBlind;
+  entry.template_index = 2;  // Q3.
+  entry.blob = "blob";
+  node_.Store("toystore", std::move(entry));
+  EXPECT_EQ(node_.CacheSize("toystore"), 0u);
+  EXPECT_EQ(node_.stats("toystore").stores, 0u);
+}
+
 TEST_F(NodeTest, BlindEntriesDieOnAnyUpdate) {
   ExposureAssignment exposure = ExposureAssignment::FullExposure(
       app_->templates().num_queries(), app_->templates().num_updates());

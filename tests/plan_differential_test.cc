@@ -142,7 +142,7 @@ bool PlanSaysIndependent(const PairPlan& plan, const UpdateTemplate& u,
                          const sql::Statement& us, const QueryTemplate& q,
                          const sql::Statement& qs,
                          const catalog::Catalog& catalog) {
-  if (plan.never_invalidate) return true;
+  if (plan.kind == PlanKind::kNeverInvalidate) return true;
   switch (EvaluatePairPlan(plan, us, qs)) {
     case StmtDecision::kIndependent:
       return true;

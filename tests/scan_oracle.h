@@ -1,19 +1,21 @@
 // Test-side reference for DsspNode's invalidation path: the plain group scan.
 //
 // ScanOracle keeps one application's cache with no predicate index installed
-// and applies an update notice the way DsspNode::OnUpdate does — the same
-// compiled InvalidationPlan and MixedStrategy, the same template-level group
-// prefilter and per-entry decision — but passes no group probe, so every
-// entry of each surviving group is visited. A differential test drives a
-// DsspNode and a ScanOracle through one store/update history and compares
-// counts, survivors and stale stores; bench/ablation_view_index times it as
-// the scan column.
+// and applies an update notice with the same compiled InvalidationPlan,
+// MixedStrategy and per-entry decision as DsspNode::OnUpdate. It does not use
+// the node's compiled visit list (ViewIndexPlan::PlanVisits): it derives the
+// groups to visit itself, by asking the strategy for a template-level
+// decision on every group the cache holds, and scans every entry of each
+// group it keeps. A differential test drives a DsspNode and a ScanOracle
+// through one store/update history and compares counts, survivors and stale
+// stores; bench/ablation_view_index times it as the scan column.
 
 #ifndef DSSP_TESTS_SCAN_ORACLE_H_
 #define DSSP_TESTS_SCAN_ORACLE_H_
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "analysis/exposure.h"
 #include "analysis/plan.h"
@@ -53,9 +55,10 @@ class ScanOracle {
         notice.statement.has_value()) {
       update_view.statement = &*notice.statement;
     }
-    // A group survives unless the update provably does not invalidate its
-    // query template (blind entries: the blind query).
-    const auto group_may_invalidate = [&](size_t group) {
+    // A group is visited, whole, unless the update provably does not
+    // invalidate its query template (blind entries: the blind query).
+    std::vector<GroupVisit> visits;
+    for (const size_t group : cache_.GroupKeys()) {
       invalidation::CachedQueryView group_view;
       if (group == CacheEntry::kNoTemplate) {
         group_view.level = analysis::ExposureLevel::kBlind;
@@ -64,9 +67,11 @@ class ScanOracle {
         group_view.tmpl = &templates_.queries()[group];
         group_view.template_index = group;
       }
-      return strategy_.Decide(update_view, group_view) !=
-             invalidation::Decision::kDoNotInvalidate;
-    };
+      if (strategy_.Decide(update_view, group_view) !=
+          invalidation::Decision::kDoNotInvalidate) {
+        visits.push_back({group, GroupProbe{}});
+      }
+    }
     const auto should_invalidate = [&](const CacheEntry& entry) {
       invalidation::CachedQueryView view;
       view.level = entry.level;
@@ -80,7 +85,7 @@ class ScanOracle {
              invalidation::Decision::kInvalidate;
     };
     const size_t invalidated =
-        cache_.InvalidateEntries(group_may_invalidate, should_invalidate);
+        cache_.InvalidateEntries(visits, should_invalidate);
     entries_invalidated_ += invalidated;
     cache_.BumpUpdateEpoch();
     return invalidated;

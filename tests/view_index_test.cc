@@ -1,7 +1,9 @@
 // Predicate-indexed view registry tests:
 //
 //  1. Unit tests for ViewIndexPlan compilation (discriminator selection,
-//     pair-probe kinds, index-key derivation) and probe range semantics.
+//     pair-probe modes, index-key derivation) and probe range semantics,
+//     and a differential of the compiled visit list against the
+//     strategy's template-level decision on the four paper workloads.
 //  2. Differential: a node (which probes the predicate index) must produce
 //     bit-identical invalidation behavior (counts, surviving entries, stale
 //     side store) to the plain group scan of ScanOracle (scan_oracle.h), on
@@ -25,6 +27,7 @@
 #include "dssp/node.h"
 #include "dssp/view_index.h"
 #include "engine/database.h"
+#include "invalidation/strategies.h"
 #include "scan_oracle.h"
 #include "sql/ast.h"
 #include "sql/parser.h"
@@ -126,10 +129,10 @@ TEST(ViewIndexPlanTest, PairKindsFollowThePlan) {
              {{"U1", "DELETE FROM t1 WHERE a = ?"},    // Probeable program.
               {"U2", "DELETE FROM t2 WHERE x = ?"},    // Other table: never.
               {"U3", "DELETE FROM t1"}});              // No WHERE: always.
-  EXPECT_EQ(c.index->pair_probe(0, 0).kind, PairProbe::Kind::kProbe);
+  EXPECT_EQ(c.index->pair_probe(0, 0).mode, ProbeMode::kProbe);
   EXPECT_EQ(c.plan->pair(1, 0).kind, analysis::PlanKind::kNeverInvalidate);
-  EXPECT_EQ(c.index->pair_probe(1, 0).kind, PairProbe::Kind::kSkipIndexed);
-  EXPECT_EQ(c.index->pair_probe(2, 0).kind, PairProbe::Kind::kScan);
+  EXPECT_EQ(c.index->pair_probe(1, 0).mode, ProbeMode::kScanRest);
+  EXPECT_EQ(c.index->pair_probe(2, 0).mode, ProbeMode::kScanAll);
 
   const ViewIndexPlan::Summary summary = c.index->Summarize();
   EXPECT_EQ(summary.indexable_queries, 1u);
@@ -142,7 +145,7 @@ TEST(ViewIndexPlanTest, NonIndexableTemplateForcesScanOnProgramPairs) {
   Compiled c({{"Q1", "SELECT a, b, c FROM t1 WHERE b < 5"}},
              {{"U1", "DELETE FROM t1 WHERE b = ?"}});
   if (c.plan->pair(0, 0).kind == analysis::PlanKind::kParamProgram) {
-    EXPECT_EQ(c.index->pair_probe(0, 0).kind, PairProbe::Kind::kScan);
+    EXPECT_EQ(c.index->pair_probe(0, 0).mode, ProbeMode::kScanAll);
   }
 }
 
@@ -178,7 +181,7 @@ TEST(ViewIndexPlanTest, EqualityProbeSelectsOnlyMatchingBucket) {
   by_value[Value(9)].insert("k9");
 
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value(5)}));
-  ASSERT_EQ(probe.mode, GroupProbe::Mode::kProbe);
+  ASSERT_EQ(probe.mode, ProbeMode::kProbe);
   std::set<std::string> out;
   probe.CollectCandidates(by_value, &out);
   EXPECT_EQ(out, (std::set<std::string>{"k5a", "k5b"}));
@@ -198,7 +201,7 @@ TEST(ViewIndexPlanTest, RangeDiscriminatorProbeIsConservative) {
   by_value[Value(std::string("m"))].insert("kstr");
 
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value(5)}));
-  ASSERT_EQ(probe.mode, GroupProbe::Mode::kProbe);
+  ASSERT_EQ(probe.mode, ProbeMode::kProbe);
   std::set<std::string> out;
   probe.CollectCandidates(by_value, &out);
   // The string-keyed entry is outside the numeric type class: a numeric
@@ -216,7 +219,7 @@ TEST(ViewIndexPlanTest, NullProbeOperandSelectsNothing) {
   // A NULL update operand satisfies no comparison: the check can never
   // fire, so no indexed entry needs visiting.
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value()}));
-  ASSERT_EQ(probe.mode, GroupProbe::Mode::kProbe);
+  ASSERT_EQ(probe.mode, ProbeMode::kProbe);
   std::set<std::string> out;
   probe.CollectCandidates(by_value, &out);
   EXPECT_TRUE(out.empty());
@@ -230,7 +233,7 @@ TEST(ViewIndexPlanTest, MalformedBoundUpdateDegradesToScan) {
   // EvaluatePairPlan's invalidate-on-fetch-failure.
   const GroupProbe probe =
       c.index->BuildGroupProbe(0, 0, c.templates.updates()[0].statement());
-  EXPECT_EQ(probe.mode, GroupProbe::Mode::kScanAll);
+  EXPECT_EQ(probe.mode, ProbeMode::kScanAll);
 }
 
 // ----- Node-level differential: probed vs plain scan. -----
@@ -370,6 +373,89 @@ void RunDifferential(const catalog::Catalog& catalog,
       pair.StoreBound(qi,
                       RandomParamsFor(rng, templates.queries()[qi].statement()),
                       kEntryLevels[i % 6]);
+    }
+  }
+}
+
+// The groups an update notice must visit, derived independently: every
+// group whose template-level decision (blind group: blind-level decision)
+// is not kDoNotInvalidate, in ascending group order (the blind group's id,
+// CacheEntry::kNoTemplate, sorts last).
+std::vector<size_t> GroupsByDecision(const invalidation::MixedStrategy& mixed,
+                                     const templates::TemplateSet& templates,
+                                     const invalidation::UpdateView& update) {
+  std::vector<size_t> groups;
+  for (size_t qi = 0; qi <= templates.num_queries(); ++qi) {
+    invalidation::CachedQueryView group_view;
+    const size_t group =
+        qi < templates.num_queries() ? qi : CacheEntry::kNoTemplate;
+    if (group != CacheEntry::kNoTemplate) {
+      group_view.level = ExposureLevel::kTemplate;
+      group_view.tmpl = &templates.queries()[qi];
+      group_view.template_index = qi;
+    }
+    if (mixed.Decide(update, group_view) !=
+        invalidation::Decision::kDoNotInvalidate) {
+      groups.push_back(group);
+    }
+  }
+  return groups;
+}
+
+TEST(ViewIndexPlanTest, VisitListMatchesTemplateLevelDecisions) {
+  for (const std::string app_name :
+       {"toystore", "auction", "bboard", "bookstore"}) {
+    SCOPED_TRACE(app_name);
+    DsspNode scratch;
+    ScalableApp app(app_name, &scratch,
+                    crypto::KeyRing::FromPassphrase("view-index"));
+    auto workload = workloads::MakeApplication(app_name);
+    ASSERT_TRUE(workload->Setup(app, 0.25, 41).ok());
+    ASSERT_TRUE(app.Finalize().ok());
+    const catalog::Catalog& catalog = app.home().database().catalog();
+    const templates::TemplateSet& templates = app.templates();
+    const InvalidationPlan plan = InvalidationPlan::Compile(templates, catalog);
+    const ViewIndexPlan index =
+        ViewIndexPlan::Compile(templates, catalog, plan);
+    const invalidation::MixedStrategy mixed(catalog, plan);
+    Rng rng(77);
+
+    // A notice that exposes no template.
+    invalidation::UpdateView blind;
+    std::vector<GroupVisit> visits;
+    index.PlanVisits(CacheEntry::kNoTemplate, nullptr, &visits);
+    std::vector<size_t> groups;
+    for (const GroupVisit& visit : visits) {
+      groups.push_back(visit.group);
+      EXPECT_EQ(visit.probe.mode, ProbeMode::kScanAll);
+    }
+    EXPECT_EQ(groups, GroupsByDecision(mixed, templates, blind));
+
+    for (size_t ui = 0; ui < templates.num_updates(); ++ui) {
+      SCOPED_TRACE("update " + std::to_string(ui));
+      const templates::UpdateTemplate& u = templates.updates()[ui];
+      const sql::Statement bound =
+          u.Bind(RandomParamsFor(rng, u.statement()));
+      for (const ExposureLevel level :
+           {ExposureLevel::kTemplate, ExposureLevel::kStmt}) {
+        invalidation::UpdateView update;
+        update.level = level;
+        update.tmpl = &u;
+        update.template_index = ui;
+        if (level == ExposureLevel::kStmt) update.statement = &bound;
+        index.PlanVisits(ui, update.statement, &visits);
+        groups.clear();
+        for (const GroupVisit& visit : visits) {
+          groups.push_back(visit.group);
+          const ProbeMode want =
+              update.statement == nullptr ||
+                      visit.group == CacheEntry::kNoTemplate
+                  ? ProbeMode::kScanAll
+                  : index.BuildGroupProbe(ui, visit.group, bound).mode;
+          EXPECT_EQ(visit.probe.mode, want) << "group " << visit.group;
+        }
+        EXPECT_EQ(groups, GroupsByDecision(mixed, templates, update));
+      }
     }
   }
 }
