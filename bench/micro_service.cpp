@@ -29,6 +29,11 @@ void BM_CacheHitView(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHitView);
 
+void BM_CacheHitStmt(benchmark::State& state) {
+  RunQueryPath(state, ExposureLevel::kStmt);
+}
+BENCHMARK(BM_CacheHitStmt);
+
 void BM_CacheHitTemplate(benchmark::State& state) {
   RunQueryPath(state, ExposureLevel::kTemplate);
 }

@@ -116,13 +116,15 @@ Status ScalableApp::SetExposure(analysis::ExposureAssignment exposure) {
 
 std::string ScalableApp::LookupKey(
     const templates::QueryTemplate& tmpl, analysis::ExposureLevel level,
-    const std::optional<sql::Statement>& bound,
     const std::vector<sql::Value>& params) const {
   switch (level) {
     case analysis::ExposureLevel::kView:
-    case analysis::ExposureLevel::kStmt:
+    case analysis::ExposureLevel::kStmt: {
       // Plaintext statement as key.
-      return "s:" + sql::ToSql(*bound);
+      std::string key = "s:";
+      tmpl.Render(params, &key);
+      return key;
+    }
     case analysis::ExposureLevel::kTemplate: {
       // Template id + deterministically encrypted parameters.
       std::string key = "t:" + tmpl.id();
@@ -133,15 +135,18 @@ std::string ScalableApp::LookupKey(
       }
       return key;
     }
-    case analysis::ExposureLevel::kBlind:
+    case analysis::ExposureLevel::kBlind: {
       // Encrypted full statement.
-      return "b:" + home_.statement_cipher().Encrypt(sql::ToSql(*bound));
+      std::string text;
+      tmpl.Render(params, &text);
+      return "b:" + home_.statement_cipher().Encrypt(text);
+    }
   }
   DSSP_UNREACHABLE("bad ExposureLevel");
 }
 
 StatusOr<engine::QueryResult> ScalableApp::Query(
-    std::string_view template_id, std::vector<sql::Value> params,
+    std::string_view template_id, const std::vector<sql::Value>& params,
     AccessStats* stats) {
   if (!finalized_) return FailedPreconditionError("call Finalize() first");
   const size_t index = templates().QueryIndex(template_id);
@@ -153,11 +158,7 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
     return InvalidArgumentError("parameter count mismatch for " + tmpl.id());
   }
   const analysis::ExposureLevel level = exposure_.query_levels[index];
-  // Template-level keys need only the parameters, so the statement is
-  // bound there only when a miss has to send it home.
-  std::optional<sql::Statement> bound;
-  if (level != analysis::ExposureLevel::kTemplate) bound = tmpl.Bind(params);
-  const std::string key = LookupKey(tmpl, level, bound, params);
+  const std::string key = LookupKey(tmpl, level, params);
 
   AccessStats local;
   AccessStats& s = stats != nullptr ? *stats : local;
@@ -178,11 +179,11 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
   } else {
     // Miss: the DSSP forwards the (encrypted) query to the home server as a
     // protocol frame (Figure 2), over the configured wire path.
-    if (!bound.has_value()) bound = tmpl.Bind(params);
     const bool plaintext_result = level == analysis::ExposureLevel::kView;
+    std::string text;
+    tmpl.Render(params, &text);
     const std::string request_frame = Encode(QueryRequest{
-        home_.statement_cipher().Encrypt(sql::ToSql(*bound)),
-        plaintext_result});
+        home_.statement_cipher().Encrypt(text), plaintext_result});
     StatusOr<std::string> response_frame = WireCall(request_frame, s);
     if (response_frame.ok()) {
       DSSP_ASSIGN_OR_RETURN(fetched, UnwrapQueryResponse(*response_frame));
@@ -197,7 +198,7 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
       }
       if (level == analysis::ExposureLevel::kStmt ||
           level == analysis::ExposureLevel::kView) {
-        fresh.statement = *bound;
+        fresh.statement = tmpl.Bind(params);
       }
       if (plaintext_result) {
         DSSP_ASSIGN_OR_RETURN(engine::QueryResult plain,
@@ -240,7 +241,7 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
 }
 
 StatusOr<engine::UpdateEffect> ScalableApp::Update(
-    std::string_view template_id, std::vector<sql::Value> params,
+    std::string_view template_id, const std::vector<sql::Value>& params,
     AccessStats* stats) {
   if (!finalized_) return FailedPreconditionError("call Finalize() first");
   const size_t index = templates().UpdateIndex(template_id);
@@ -252,7 +253,6 @@ StatusOr<engine::UpdateEffect> ScalableApp::Update(
     return InvalidArgumentError("parameter count mismatch for " + tmpl.id());
   }
   const analysis::ExposureLevel level = exposure_.update_levels[index];
-  const sql::Statement bound = tmpl.Bind(params);
 
   AccessStats local;
   AccessStats& s = stats != nullptr ? *stats : local;
@@ -261,7 +261,9 @@ StatusOr<engine::UpdateEffect> ScalableApp::Update(
 
   // All updates are routed to the home server in encrypted form (Figure 2).
   // The hardened path stamps a dedup nonce so retries are at-most-once.
-  UpdateRequest request{home_.statement_cipher().Encrypt(sql::ToSql(bound))};
+  std::string text;
+  tmpl.Render(params, &text);
+  UpdateRequest request{home_.statement_cipher().Encrypt(text)};
   if (client_ != nullptr) {
     request.nonce = next_nonce_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -277,7 +279,7 @@ StatusOr<engine::UpdateEffect> ScalableApp::Update(
     notice.template_index = index;
   }
   if (level == analysis::ExposureLevel::kStmt) {
-    notice.statement = bound;
+    notice.statement = tmpl.Bind(params);
   }
 
   StatusOr<std::string> response_frame = WireCall(request_frame, s);

@@ -99,13 +99,13 @@ class ScalableApp {
 
   // Executes a query template instance through the DSSP path.
   StatusOr<engine::QueryResult> Query(std::string_view template_id,
-                                      std::vector<sql::Value> params,
+                                      const std::vector<sql::Value>& params,
                                       AccessStats* stats = nullptr);
 
   // Executes an update template instance: routed to the home server, then
   // the DSSP invalidates using the exposure-gated update notice.
   StatusOr<engine::UpdateEffect> Update(std::string_view template_id,
-                                        std::vector<sql::Value> params,
+                                        const std::vector<sql::Value>& params,
                                         AccessStats* stats = nullptr);
 
   // ----- Wire path configuration (Figure 2's DSSP <-> home WAN). -----
@@ -135,11 +135,10 @@ class ScalableApp {
   WireCounters wire_counters() const;
 
  private:
-  // Exposure-dependent cache key (Section 2.2, footnote 3).
-  // `bound` may be empty at template level, whose key needs only `params`.
+  // Exposure-dependent cache key (Section 2.2, footnote 3), rendered from
+  // the template's text codec: no statement is bound at any level.
   std::string LookupKey(const templates::QueryTemplate& tmpl,
                         analysis::ExposureLevel level,
-                        const std::optional<sql::Statement>& bound,
                         const std::vector<sql::Value>& params) const;
 
   // Sends one request frame over the configured wire path, retrying when

@@ -23,9 +23,8 @@ std::vector<std::string> AllGroupKeys(const ValueKeyMap& by_value,
 
 }  // namespace
 
-void QueryCache::RemoveLocked(
-    Shard& shard, std::unordered_map<std::string, Stored>::iterator it,
-    bool retain_stale) {
+void QueryCache::RemoveLocked(Shard& shard, EntryMap::iterator it,
+                              bool retain_stale) {
   const auto group_it = shard.groups.find(it->second.entry->template_index);
   if (group_it != shard.groups.end()) {
     Group& group = group_it->second;
@@ -129,12 +128,15 @@ void QueryCache::SetCapacity(size_t max_entries) {
 }
 
 std::shared_ptr<const CacheEntry> QueryCache::Lookup(const std::string& key) {
-  Shard& shard = ShardFor(key);
+  const HashedKey hashed = Hashed(key);
+  Shard& shard = ShardFor(hashed);
   MutexLock lock(shard.mu);
-  const auto it = shard.entries.find(key);
+  const auto it = shard.entries.find(hashed);
   if (it == shard.entries.end()) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_position);
-  it->second.tick = NextTick();
+  if (max_entries_.load(std::memory_order_relaxed) != 0) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_position);
+    it->second.tick = NextTick();
+  }
   return it->second.entry;
 }
 
@@ -144,10 +146,11 @@ void QueryCache::Insert(CacheEntry entry) {
   std::shared_ptr<const CacheEntry> stored =
       std::make_shared<const CacheEntry>(std::move(entry));
   const CacheEntry& fresh = *stored;
-  Shard& shard = ShardFor(fresh.key);
+  const HashedKey hashed = Hashed(fresh.key);
+  Shard& shard = ShardFor(hashed);
   {
     MutexLock lock(shard.mu);
-    const auto it = shard.entries.find(fresh.key);
+    const auto it = shard.entries.find(hashed);
     if (it != shard.entries.end()) RemoveLocked(shard, it);
     // Index statement-exposed entries under their discriminator bound. Only
     // stmt/view levels qualify: their per-entry decision is the compiled

@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -78,7 +79,9 @@ class QueryCache {
 
   // Caps the entry count; 0 (default) means unlimited. Shrinking below the
   // current size evicts least-recently-used entries immediately (counted
-  // separately from insert-overflow evictions).
+  // separately from insert-overflow evictions). An unbounded cache keeps no
+  // recency (see Lookup), so the first cap set on a cache that has served
+  // hits while unbounded evicts in insertion order.
   void SetCapacity(size_t max_entries);
 
   // Capacity evictions, split by cause. evictions() is their sum.
@@ -99,8 +102,10 @@ class QueryCache {
     return invalidation_removals_.load(std::memory_order_relaxed);
   }
 
-  // Returns the entry with `key`, or null. A hit refreshes the entry's LRU
-  // position. Entries are immutable once inserted and shared, not copied:
+  // Returns the entry with `key`, or null. On a capacity-bounded cache a hit
+  // refreshes the entry's LRU position; an unbounded cache never evicts, so
+  // its hits skip that upkeep and the global tick. Entries are immutable
+  // once inserted and shared, not copied:
   // an overwrite, invalidation, eviction or Clear drops the cache's
   // reference, and the caller's pointer keeps the old entry alive and
   // unchanged.
@@ -199,20 +204,49 @@ class QueryCache {
     bool empty() const { return by_value.empty() && rest.empty(); }
   };
 
+  // A key with its std::hash computed once, so a lookup picks the shard and
+  // probes the shard's map with one hash. libstdc++ caches each stored
+  // key's hash because KeyHash is not noexcept (keep it so): probes compare
+  // hashes before bytes, and rehashing never rehashes a key.
+  struct HashedKey {
+    std::string_view key;
+    size_t hash = 0;
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+    size_t operator()(const HashedKey& key) const { return key.hash; }
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(std::string_view a, std::string_view b) const {
+      return a == b;
+    }
+    bool operator()(const HashedKey& a, std::string_view b) const {
+      return a.key == b;
+    }
+    bool operator()(std::string_view a, const HashedKey& b) const {
+      return a == b.key;
+    }
+  };
+  using EntryMap = std::unordered_map<std::string, Stored, KeyHash, KeyEqual>;
+
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<std::string, Stored> entries DSSP_GUARDED_BY(mu);
+    EntryMap entries DSSP_GUARDED_BY(mu);
     std::map<size_t, Group> groups DSSP_GUARDED_BY(mu);
     // Most-recently-used at the front. Points at the keys of `entries`,
     // which stay put until their element is erased.
     std::list<const std::string*> lru DSSP_GUARDED_BY(mu);
   };
 
-  Shard& ShardFor(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % kNumShards];
+  Shard& ShardFor(const HashedKey& key) {
+    return shards_[key.hash % kNumShards];
   }
-  const Shard& ShardFor(const std::string& key) const {
-    return shards_[std::hash<std::string>{}(key) % kNumShards];
+  static HashedKey Hashed(std::string_view key) {
+    return HashedKey{key, KeyHash{}(key)};
   }
   uint64_t NextTick() { return tick_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -220,8 +254,7 @@ class QueryCache {
   // Caller holds shard.mu. `retain_stale` moves the entry into the stale
   // side store (invalidation paths) instead of discarding it outright
   // (capacity evictions). Lock order is always shard.mu -> stale_mu_.
-  void RemoveLocked(Shard& shard,
-                    std::unordered_map<std::string, Stored>::iterator it,
+  void RemoveLocked(Shard& shard, EntryMap::iterator it,
                     bool retain_stale = false) DSSP_REQUIRES(shard.mu);
 
   // Stashes an invalidated entry into the bounded stale store (no-op when

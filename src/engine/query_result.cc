@@ -89,23 +89,22 @@ StatusOr<QueryResult> QueryResult::Deserialize(std::string_view data) {
     pos += len;
   }
 
+  // Every value takes at least one byte, which bounds a sane row count.
   uint64_t nrows = 0;
-  if (!read_u64(&nrows)) {
+  if (!read_u64(&nrows) ||
+      (ncols != 0 && nrows > (data.size() - pos) / ncols)) {
     return InvalidArgumentError("malformed result blob (row count)");
   }
   std::vector<Row> rows;
   rows.reserve(nrows);
   for (uint64_t r = 0; r < nrows; ++r) {
-    Row row;
-    row.reserve(ncols);
-    for (uint64_t c = 0; c < ncols; ++c) {
-      sql::Value value;
+    // Each value decodes straight into its slot of the row.
+    Row& row = rows.emplace_back(ncols);
+    for (sql::Value& value : row) {
       if (!sql::Value::DecodeFromKey(data, &pos, &value)) {
         return InvalidArgumentError("malformed result blob (value)");
       }
-      row.push_back(std::move(value));
     }
-    rows.push_back(std::move(row));
   }
   if (pos != data.size()) {
     return InvalidArgumentError("trailing bytes in result blob");

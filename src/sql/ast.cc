@@ -1,5 +1,7 @@
 #include "sql/ast.h"
 
+#include <functional>
+
 #include "common/macros.h"
 
 namespace dssp::sql {
@@ -93,120 +95,152 @@ const char* StatementKindName(StatementKind kind) {
 
 namespace {
 
-std::string WhereToSql(const std::vector<Comparison>& where) {
-  if (where.empty()) return "";
-  std::string out = " WHERE ";
-  for (size_t i = 0; i < where.size(); ++i) {
-    if (i != 0) out += " AND ";
-    out += OperandToString(where[i].lhs);
-    out += " ";
-    out += CompareOpSymbol(where[i].op);
-    out += " ";
-    out += OperandToString(where[i].rhs);
+// The one SQL writer. Every parameter prints as `?`, unless `on_parameter`
+// is set: then the writer calls it with the parameter's index instead, at
+// the point where `out` ends just before the hole.
+struct SqlWriter {
+  std::string& out;
+  const std::function<void(int)>* on_parameter = nullptr;
+
+  void WriteOperand(const Operand& op) {
+    if (on_parameter != nullptr && IsParameter(op)) {
+      (*on_parameter)(std::get<Parameter>(op).index);
+    } else {
+      out += OperandToString(op);
+    }
   }
+
+  void WriteWhere(const std::vector<Comparison>& where) {
+    if (where.empty()) return;
+    out += " WHERE ";
+    for (size_t i = 0; i < where.size(); ++i) {
+      if (i != 0) out += " AND ";
+      WriteOperand(where[i].lhs);
+      out += " ";
+      out += CompareOpSymbol(where[i].op);
+      out += " ";
+      WriteOperand(where[i].rhs);
+    }
+  }
+
+  void Write(const SelectStatement& stmt) {
+    out += "SELECT ";
+    for (size_t i = 0; i < stmt.items.size(); ++i) {
+      if (i != 0) out += ", ";
+      const SelectItem& item = stmt.items[i];
+      if (item.func != AggregateFunc::kNone) {
+        out += AggregateFuncName(item.func);
+        out += "(";
+        out += item.star ? "*" : item.column.ToString();
+        out += ")";
+      } else if (item.star) {
+        out += "*";
+      } else {
+        out += item.column.ToString();
+      }
+    }
+    out += " FROM ";
+    for (size_t i = 0; i < stmt.from.size(); ++i) {
+      if (i != 0) out += ", ";
+      out += stmt.from[i].table;
+      if (!stmt.from[i].alias.empty()) {
+        out += " AS ";
+        out += stmt.from[i].alias;
+      }
+    }
+    WriteWhere(stmt.where);
+    if (!stmt.group_by.empty()) {
+      out += " GROUP BY ";
+      for (size_t i = 0; i < stmt.group_by.size(); ++i) {
+        if (i != 0) out += ", ";
+        out += stmt.group_by[i].ToString();
+      }
+    }
+    if (!stmt.order_by.empty()) {
+      out += " ORDER BY ";
+      for (size_t i = 0; i < stmt.order_by.size(); ++i) {
+        if (i != 0) out += ", ";
+        out += stmt.order_by[i].column.ToString();
+        if (stmt.order_by[i].descending) out += " DESC";
+      }
+    }
+    if (stmt.limit.has_value()) {
+      out += " LIMIT ";
+      WriteOperand(*stmt.limit);
+    }
+  }
+
+  void Write(const InsertStatement& stmt) {
+    out += "INSERT INTO ";
+    out += stmt.table;
+    out += " (";
+    for (size_t i = 0; i < stmt.columns.size(); ++i) {
+      if (i != 0) out += ", ";
+      out += stmt.columns[i];
+    }
+    out += ") VALUES (";
+    for (size_t i = 0; i < stmt.values.size(); ++i) {
+      if (i != 0) out += ", ";
+      WriteOperand(stmt.values[i]);
+    }
+    out += ")";
+  }
+
+  void Write(const DeleteStatement& stmt) {
+    out += "DELETE FROM ";
+    out += stmt.table;
+    WriteWhere(stmt.where);
+  }
+
+  void Write(const UpdateStatement& stmt) {
+    out += "UPDATE ";
+    out += stmt.table;
+    out += " SET ";
+    for (size_t i = 0; i < stmt.set.size(); ++i) {
+      if (i != 0) out += ", ";
+      out += stmt.set[i].first;
+      out += " = ";
+      WriteOperand(stmt.set[i].second);
+    }
+    WriteWhere(stmt.where);
+  }
+
+  void Write(const Statement& stmt) {
+    std::visit([this](const auto& node) { Write(node); }, stmt.node);
+  }
+};
+
+template <typename Stmt>
+std::string WriteToString(const Stmt& stmt) {
+  std::string out;
+  SqlWriter{out}.Write(stmt);
   return out;
 }
 
 }  // namespace
 
-std::string ToSql(const SelectStatement& stmt) {
-  std::string out = "SELECT ";
-  for (size_t i = 0; i < stmt.items.size(); ++i) {
-    if (i != 0) out += ", ";
-    const SelectItem& item = stmt.items[i];
-    if (item.func != AggregateFunc::kNone) {
-      out += AggregateFuncName(item.func);
-      out += "(";
-      out += item.star ? "*" : item.column.ToString();
-      out += ")";
-    } else if (item.star) {
-      out += "*";
-    } else {
-      out += item.column.ToString();
-    }
-  }
-  out += " FROM ";
-  for (size_t i = 0; i < stmt.from.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += stmt.from[i].table;
-    if (!stmt.from[i].alias.empty()) {
-      out += " AS ";
-      out += stmt.from[i].alias;
-    }
-  }
-  out += WhereToSql(stmt.where);
-  if (!stmt.group_by.empty()) {
-    out += " GROUP BY ";
-    for (size_t i = 0; i < stmt.group_by.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += stmt.group_by[i].ToString();
-    }
-  }
-  if (!stmt.order_by.empty()) {
-    out += " ORDER BY ";
-    for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += stmt.order_by[i].column.ToString();
-      if (stmt.order_by[i].descending) out += " DESC";
-    }
-  }
-  if (stmt.limit.has_value()) {
-    out += " LIMIT ";
-    out += OperandToString(*stmt.limit);
-  }
-  return out;
+std::string ToSql(const Statement& stmt) { return WriteToString(stmt); }
+std::string ToSql(const SelectStatement& stmt) { return WriteToString(stmt); }
+
+TextCodec::TextCodec(const Statement& stmt) {
+  std::string text;
+  const std::function<void(int)> close_fragment = [&](int index) {
+    fragments_.push_back(std::move(text));
+    text.clear();
+    holes_.push_back(index);
+  };
+  SqlWriter{text, &close_fragment}.Write(stmt);
+  fragments_.push_back(std::move(text));
 }
 
-std::string ToSql(const InsertStatement& stmt) {
-  std::string out = "INSERT INTO ";
-  out += stmt.table;
-  out += " (";
-  for (size_t i = 0; i < stmt.columns.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += stmt.columns[i];
+void TextCodec::Render(const std::vector<Value>& params,
+                       std::string* out) const {
+  for (size_t i = 0; i < holes_.size(); ++i) {
+    *out += fragments_[i];
+    DSSP_CHECK(static_cast<size_t>(holes_[i]) < params.size());
+    *out += params[holes_[i]].ToSqlLiteral();
   }
-  out += ") VALUES (";
-  for (size_t i = 0; i < stmt.values.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += OperandToString(stmt.values[i]);
-  }
-  out += ")";
-  return out;
-}
-
-std::string ToSql(const DeleteStatement& stmt) {
-  std::string out = "DELETE FROM ";
-  out += stmt.table;
-  out += WhereToSql(stmt.where);
-  return out;
-}
-
-std::string ToSql(const UpdateStatement& stmt) {
-  std::string out = "UPDATE ";
-  out += stmt.table;
-  out += " SET ";
-  for (size_t i = 0; i < stmt.set.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += stmt.set[i].first;
-    out += " = ";
-    out += OperandToString(stmt.set[i].second);
-  }
-  out += WhereToSql(stmt.where);
-  return out;
-}
-
-std::string ToSql(const Statement& stmt) {
-  switch (stmt.kind()) {
-    case StatementKind::kSelect:
-      return ToSql(stmt.select());
-    case StatementKind::kInsert:
-      return ToSql(stmt.insert());
-    case StatementKind::kDelete:
-      return ToSql(stmt.del());
-    case StatementKind::kUpdate:
-      return ToSql(stmt.update());
-  }
-  DSSP_UNREACHABLE("bad StatementKind");
+  *out += fragments_.back();
 }
 
 namespace {

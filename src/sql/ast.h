@@ -187,9 +187,23 @@ struct Statement {
 // equivalent statement; parameters print as `?`.
 std::string ToSql(const Statement& stmt);
 std::string ToSql(const SelectStatement& stmt);
-std::string ToSql(const InsertStatement& stmt);
-std::string ToSql(const DeleteStatement& stmt);
-std::string ToSql(const UpdateStatement& stmt);
+
+// A statement's SQL text split at its `?` holes, built once (per template).
+// Render(params, &out) appends ToSql(BindParameters(stmt, params)) byte for
+// byte without binding: the literal fragments, with one
+// Value::ToSqlLiteral per hole.
+class TextCodec {
+ public:
+  TextCodec() = default;
+  explicit TextCodec(const Statement& stmt);
+
+  // DSSP_CHECKs that `params` covers every hole's parameter index.
+  void Render(const std::vector<Value>& params, std::string* out) const;
+
+ private:
+  std::vector<std::string> fragments_;  // One more than holes_.
+  std::vector<int> holes_;              // Parameter index of each hole.
+};
 
 // Replaces every Parameter operand with the corresponding literal from
 // `params`. DSSP_CHECKs that `params` covers all parameter indexes.

@@ -108,14 +108,14 @@ bool Value::DecodeFromKey(std::string_view data, size_t* pos, Value* out) {
   const char tag = data[(*pos)++];
   switch (static_cast<ValueType>(tag)) {
     case ValueType::kNull:
-      *out = Value::Null();
+      out->rep_.emplace<std::monostate>();
       return true;
     case ValueType::kInt64: {
       if (*pos + sizeof(int64_t) > data.size()) return false;
       int64_t v;
       std::memcpy(&v, data.data() + *pos, sizeof(v));
       *pos += sizeof(v);
-      *out = Value(v);
+      out->rep_.emplace<int64_t>(v);
       return true;
     }
     case ValueType::kDouble: {
@@ -123,7 +123,7 @@ bool Value::DecodeFromKey(std::string_view data, size_t* pos, Value* out) {
       double v;
       std::memcpy(&v, data.data() + *pos, sizeof(v));
       *pos += sizeof(v);
-      *out = Value(v);
+      out->rep_.emplace<double>(v);
       return true;
     }
     case ValueType::kString: {
@@ -131,8 +131,8 @@ bool Value::DecodeFromKey(std::string_view data, size_t* pos, Value* out) {
       uint64_t len;
       std::memcpy(&len, data.data() + *pos, sizeof(len));
       *pos += sizeof(len);
-      if (*pos + len > data.size()) return false;
-      *out = Value(std::string(data.substr(*pos, len)));
+      if (len > data.size() - *pos) return false;  // No wrap on huge len.
+      out->rep_.emplace<std::string>(data.data() + *pos, len);
       *pos += len;
       return true;
     }

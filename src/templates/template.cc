@@ -173,6 +173,7 @@ StatusOr<QueryTemplate> QueryTemplate::Create(
   QueryTemplate tmpl;
   tmpl.id_ = std::move(id);
   tmpl.statement_ = std::move(stmt);
+  tmpl.codec_ = sql::TextCodec(tmpl.statement_);
   const sql::SelectStatement& select = tmpl.statement_.select();
 
   DSSP_ASSIGN_OR_RETURN(SlotResolver resolver,
@@ -243,6 +244,7 @@ StatusOr<UpdateTemplate> UpdateTemplate::Create(
   UpdateTemplate tmpl;
   tmpl.id_ = std::move(id);
   tmpl.statement_ = std::move(stmt);
+  tmpl.codec_ = sql::TextCodec(tmpl.statement_);
 
   switch (tmpl.statement_.kind()) {
     case sql::StatementKind::kInsert: {

@@ -79,6 +79,11 @@ class QueryTemplate {
     return sql::BindParameters(statement_, params);
   }
 
+  // Appends sql::ToSql(Bind(params)) to `*out` without binding.
+  void Render(const std::vector<sql::Value>& params, std::string* out) const {
+    codec_.Render(params, out);
+  }
+
   const AttributeSet& selection_attributes() const { return s_; }
   const AttributeSet& preserved_attributes() const { return p_; }
 
@@ -115,6 +120,7 @@ class QueryTemplate {
 
   std::string id_;
   sql::Statement statement_;
+  sql::TextCodec codec_;  // Of statement_, built at Create.
   AttributeSet s_;
   AttributeSet p_;
   std::vector<OutputColumn> output_columns_;
@@ -143,6 +149,11 @@ class UpdateTemplate {
     return sql::BindParameters(statement_, params);
   }
 
+  // Appends sql::ToSql(Bind(params)) to `*out` without binding.
+  void Render(const std::vector<sql::Value>& params, std::string* out) const {
+    codec_.Render(params, out);
+  }
+
   UpdateClass update_class() const { return class_; }
   const std::string& table() const { return table_; }
 
@@ -156,6 +167,7 @@ class UpdateTemplate {
 
   std::string id_;
   sql::Statement statement_;
+  sql::TextCodec codec_;  // Of statement_, built at Create.
   UpdateClass class_ = UpdateClass::kInsertion;
   std::string table_;
   AttributeSet s_;

@@ -173,6 +173,31 @@ TEST(QueryCacheTest, LruEvictionOrder) {
   EXPECT_EQ(cache.GroupEntryKeys(1).size(), 2u);
 }
 
+// An unbounded cache never evicts, so its hits keep no recency: a cap set
+// later evicts in insertion order, and only hits served while bounded count
+// as recent.
+TEST(QueryCacheTest, UnboundedHitsKeepNoRecency) {
+  QueryCache cache;
+  cache.Insert(Entry("a", 0));
+  cache.Insert(Entry("b", 0));
+  cache.Insert(Entry("c", 1));
+  // Hit "a" while unbounded: the entry is served, its position kept.
+  EXPECT_NE(cache.Lookup("a"), nullptr);
+  cache.SetCapacity(2);
+  EXPECT_EQ(cache.shrink_evictions(), 1u);
+  EXPECT_FALSE(Holds(cache, "a"));
+  EXPECT_TRUE(Holds(cache, "b"));
+  EXPECT_TRUE(Holds(cache, "c"));
+  // Bounded now: a hit on "b" makes "c" the next victim.
+  EXPECT_NE(cache.Lookup("b"), nullptr);
+  cache.Insert(Entry("d", 1));
+  EXPECT_EQ(cache.insert_evictions(), 1u);
+  EXPECT_TRUE(Holds(cache, "b"));
+  EXPECT_FALSE(Holds(cache, "c"));
+  EXPECT_TRUE(Holds(cache, "d"));
+  ExpectConsistent(cache);
+}
+
 TEST(QueryCacheTest, ShrinkingCapacityEvictsImmediately) {
   QueryCache cache;
   for (int i = 0; i < 10; ++i) {
