@@ -228,15 +228,13 @@ void ClusterRouter::Store(const std::string& app_id, CacheEntry entry) {
   }
   tls_last_route = RouteInfo{owners.front(), false, false};
   // Write-through to the whole servable replica set so any of them can
-  // answer when the owner dies.
-  for (size_t idx = 0; idx < owners.size(); ++idx) {
-    Member& member = *members_[CheckIndex(owners[idx])];
+  // answer when the owner dies. The entry is immutable, so they share it.
+  const std::shared_ptr<const CacheEntry> shared =
+      std::make_shared<const CacheEntry>(std::move(entry));
+  for (const int node : owners) {
+    Member& member = *members_[CheckIndex(node)];
     member.stores.fetch_add(1, std::memory_order_relaxed);
-    if (idx + 1 == owners.size()) {
-      member.node->Store(app_id, std::move(entry));
-    } else {
-      member.node->Store(app_id, entry);
-    }
+    member.node->StoreShared(app_id, shared);
   }
 }
 

@@ -158,7 +158,7 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
     return InvalidArgumentError("parameter count mismatch for " + tmpl.id());
   }
   const analysis::ExposureLevel level = exposure_.query_levels[index];
-  const std::string key = LookupKey(tmpl, level, params);
+  std::string key = LookupKey(tmpl, level, params);
 
   AccessStats local;
   AccessStats& s = stats != nullptr ? *stats : local;
@@ -190,7 +190,7 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
       blob = fetched;
 
       CacheEntry fresh;
-      fresh.key = key;
+      fresh.key = std::move(key);  // Not read again on this path.
       fresh.level = level;
       fresh.blob = fetched;
       if (level != analysis::ExposureLevel::kBlind) {

@@ -1,48 +1,31 @@
 #include "dssp/cache.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/macros.h"
 
 namespace dssp::service {
 
-namespace {
-
-// All keys of a group, in the same sorted order the pre-index std::set
-// iteration produced (determinism: stale-retention FIFO order depends on
-// visit order).
-std::vector<std::string> AllGroupKeys(const ValueKeyMap& by_value,
-                                      const std::set<std::string>& rest) {
-  std::vector<std::string> keys(rest.begin(), rest.end());
-  for (const auto& [value, members] : by_value) {
-    keys.insert(keys.end(), members.begin(), members.end());
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-}  // namespace
-
 void QueryCache::RemoveLocked(Shard& shard, EntryMap::iterator it,
                               bool retain_stale) {
-  const auto group_it = shard.groups.find(it->second.entry->template_index);
-  if (group_it != shard.groups.end()) {
-    Group& group = group_it->second;
-    if (it->second.index_key.has_value()) {
-      const auto value_it = group.by_value.find(*it->second.index_key);
-      if (value_it != group.by_value.end()) {
-        value_it->second.erase(it->first);
-        if (value_it->second.empty()) group.by_value.erase(value_it);
-      }
-    } else {
-      group.rest.erase(it->first);
-    }
-    if (group.empty()) shard.groups.erase(group_it);
+  Stored& stored = it->second;
+  const CacheEntry* entry = stored.entry.get();
+  Group& group = shard.groups[GroupSlot(entry->template_index)];
+  if (stored.index_key.has_value()) {
+    const auto bucket = group.by_value.find(*stored.index_key);
+    DSSP_CHECK(bucket != group.by_value.end());
+    bucket->second.erase(entry);
+    if (bucket->second.empty()) group.by_value.erase(bucket);
+  } else {
+    group.rest.erase(entry);
   }
-  shard.lru.erase(it->second.lru_position);
-  if (retain_stale) RetainStale(std::move(it->second.entry));
+  shard.lru.erase(stored.lru_position);
+  // The map's key views the entry's key: unlink it while the entry lives.
+  std::shared_ptr<const CacheEntry> removed = std::move(stored.entry);
   shard.entries.erase(it);
   size_.fetch_sub(1, std::memory_order_relaxed);
+  if (retain_stale) RetainStale(std::move(removed));
 }
 
 void QueryCache::RetainStale(std::shared_ptr<const CacheEntry> entry) {
@@ -50,19 +33,25 @@ void QueryCache::RetainStale(std::shared_ptr<const CacheEntry> entry) {
   MutexLock lock(stale_mu_);
   const size_t cap = stale_capacity_.load(std::memory_order_relaxed);
   if (cap == 0) return;
-  const auto it = stale_.find(entry->key);
-  if (it != stale_.end()) {
-    stale_fifo_.erase(it->second.fifo_position);
-    stale_.erase(it);
-  }
-  stale_fifo_.push_back(entry->key);
-  std::string key = entry->key;
-  stale_.emplace(std::move(key),
-                 StaleStored{std::move(entry),
-                             update_epoch_.load(std::memory_order_relaxed),
-                             std::prev(stale_fifo_.end())});
-  while (stale_.size() > cap) {
-    stale_.erase(stale_fifo_.front());
+  const std::string_view key = entry->key;
+  DropStaleLocked(key);
+  stale_fifo_.push_back(StaleStored{
+      std::move(entry), update_epoch_.load(std::memory_order_relaxed)});
+  stale_.emplace(key, std::prev(stale_fifo_.end()));
+  TrimStaleLocked(cap);
+}
+
+void QueryCache::DropStaleLocked(std::string_view key) {
+  const auto it = stale_.find(key);
+  if (it == stale_.end()) return;
+  const StaleFifo::iterator position = it->second;
+  stale_.erase(it);
+  stale_fifo_.erase(position);
+}
+
+void QueryCache::TrimStaleLocked(size_t max_entries) {
+  while (stale_.size() > max_entries) {
+    stale_.erase(stale_fifo_.front().entry->key);
     stale_fifo_.pop_front();
   }
 }
@@ -70,10 +59,7 @@ void QueryCache::RetainStale(std::shared_ptr<const CacheEntry> entry) {
 void QueryCache::SetStaleRetention(size_t max_entries) {
   stale_capacity_.store(max_entries, std::memory_order_relaxed);
   MutexLock lock(stale_mu_);
-  while (stale_.size() > max_entries) {
-    stale_.erase(stale_fifo_.front());
-    stale_fifo_.pop_front();
-  }
+  TrimStaleLocked(max_entries);
 }
 
 size_t QueryCache::StaleSize() const {
@@ -87,8 +73,8 @@ std::shared_ptr<const CacheEntry> QueryCache::LookupStale(
   MutexLock lock(stale_mu_);
   const auto it = stale_.find(key);
   if (it == stale_.end()) return nullptr;
-  if (now - it->second.epoch > max_updates_behind) return nullptr;
-  return it->second.entry;
+  if (now - it->second->epoch > max_updates_behind) return nullptr;
+  return it->second->entry;
 }
 
 void QueryCache::EvictToCapacity(std::atomic<uint64_t>& counter) {
@@ -108,7 +94,7 @@ void QueryCache::EvictToCapacity(std::atomic<uint64_t>& counter) {
     uint64_t oldest = 0;
     for (Shard& shard : shards_) {
       if (shard.lru.empty()) continue;
-      const auto it = shard.entries.find(*shard.lru.back());
+      const auto it = shard.entries.find(std::string_view(*shard.lru.back()));
       DSSP_CHECK(it != shard.entries.end());
       if (victim_shard == nullptr || it->second.tick < oldest) {
         victim_shard = &shard;
@@ -116,8 +102,8 @@ void QueryCache::EvictToCapacity(std::atomic<uint64_t>& counter) {
       }
     }
     DSSP_CHECK(victim_shard != nullptr);
-    RemoveLocked(*victim_shard,
-                 victim_shard->entries.find(*victim_shard->lru.back()));
+    const std::string_view victim = *victim_shard->lru.back();
+    RemoveLocked(*victim_shard, victim_shard->entries.find(victim));
     counter.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -140,52 +126,46 @@ std::shared_ptr<const CacheEntry> QueryCache::Lookup(const std::string& key) {
   return it->second.entry;
 }
 
-void QueryCache::Insert(CacheEntry entry) {
-  // Allocated before the shard lock is taken; from here on the entry is
-  // immutable and shared with every lookup that returns it.
-  std::shared_ptr<const CacheEntry> stored =
-      std::make_shared<const CacheEntry>(std::move(entry));
-  const CacheEntry& fresh = *stored;
+void QueryCache::Insert(std::shared_ptr<const CacheEntry> entry) {
+  const CacheEntry& fresh = *entry;
+  // Index statement-exposed entries under their discriminator bound. Only
+  // stmt/view levels qualify: their per-entry decision is the compiled
+  // statement program the probes were derived against; anything else is
+  // decided at template level and must stay in the always-visited rest.
+  std::optional<sql::Value> index_key;
+  if (view_index_ != nullptr &&
+      fresh.template_index != CacheEntry::kNoTemplate &&
+      fresh.statement.has_value() &&
+      (fresh.level == analysis::ExposureLevel::kStmt ||
+       fresh.level == analysis::ExposureLevel::kView)) {
+    index_key =
+        view_index_->IndexKeyFor(fresh.template_index, *fresh.statement);
+  }
   const HashedKey hashed = Hashed(fresh.key);
   Shard& shard = ShardFor(hashed);
   {
     MutexLock lock(shard.mu);
     const auto it = shard.entries.find(hashed);
     if (it != shard.entries.end()) RemoveLocked(shard, it);
-    // Index statement-exposed entries under their discriminator bound. Only
-    // stmt/view levels qualify: their per-entry decision is the compiled
-    // statement program the probes were derived against; anything else is
-    // decided at template level and must stay in the always-visited rest.
-    std::optional<sql::Value> index_key;
-    if (view_index_ != nullptr &&
-        fresh.template_index != CacheEntry::kNoTemplate &&
-        fresh.statement.has_value() &&
-        (fresh.level == analysis::ExposureLevel::kStmt ||
-         fresh.level == analysis::ExposureLevel::kView)) {
-      index_key =
-          view_index_->IndexKeyFor(fresh.template_index, *fresh.statement);
-    }
-    Group& group = shard.groups[fresh.template_index];
+    const size_t slot = GroupSlot(fresh.template_index);
+    if (slot >= shard.groups.size()) shard.groups.resize(slot + 1);
+    Group& group = shard.groups[slot];
     if (index_key.has_value()) {
-      group.by_value[*index_key].insert(fresh.key);
+      group.by_value[*index_key].insert(&fresh);
     } else {
-      group.rest.insert(fresh.key);
+      group.rest.insert(&fresh);
     }
-    const auto [slot, inserted] = shard.entries.emplace(
-        fresh.key, Stored{std::move(stored), {}, NextTick(),
-                          std::move(index_key)});
-    DSSP_CHECK(inserted);
-    shard.lru.push_front(&slot->first);
-    slot->second.lru_position = shard.lru.begin();
+    shard.lru.push_front(&fresh.key);
+    DSSP_CHECK(shard.entries
+                   .emplace(std::string_view(fresh.key),
+                            Stored{std::move(entry), shard.lru.begin(),
+                                   NextTick(), std::move(index_key)})
+                   .second);
     size_.fetch_add(1, std::memory_order_relaxed);
     // A fresh entry supersedes any stale copy retained for this key.
     if (stale_capacity_.load(std::memory_order_relaxed) != 0) {
       MutexLock stale_lock(stale_mu_);
-      const auto stale_it = stale_.find(fresh.key);
-      if (stale_it != stale_.end()) {
-        stale_fifo_.erase(stale_it->second.fifo_position);
-        stale_.erase(stale_it);
-      }
+      DropStaleLocked(fresh.key);
     }
   }
   EvictToCapacity(insert_evictions_);
@@ -195,62 +175,43 @@ std::vector<size_t> QueryCache::GroupKeys() const {
   std::set<size_t> keys;
   for (const Shard& shard : shards_) {
     MutexLock lock(shard.mu);
-    for (const auto& [group, entries] : shard.groups) keys.insert(group);
-  }
-  return std::vector<size_t>(keys.begin(), keys.end());
-}
-
-std::vector<std::string> QueryCache::GroupEntryKeys(size_t group) const {
-  std::vector<std::string> keys;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    const auto it = shard.groups.find(group);
-    if (it == shard.groups.end()) continue;
-    keys.insert(keys.end(), it->second.rest.begin(), it->second.rest.end());
-    for (const auto& [value, members] : it->second.by_value) {
-      keys.insert(keys.end(), members.begin(), members.end());
+    for (size_t slot = 0; slot < shard.groups.size(); ++slot) {
+      if (shard.groups[slot].empty()) continue;
+      keys.insert(slot - 1);  // Inverts GroupSlot.
     }
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  return std::vector<size_t>(keys.begin(), keys.end());
 }
 
 size_t QueryCache::InvalidateEntries(
     const std::vector<GroupVisit>& visits,
     const std::function<bool(const CacheEntry&)>& should_invalidate) {
+  // Per-thread scratch: invalidations run concurrently, and
+  // should_invalidate never re-enters the cache.
+  static thread_local std::vector<const CacheEntry*> visited;
   size_t invalidated = 0;
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
     for (const GroupVisit& visit : visits) {
-      const auto group_it = shard.groups.find(visit.group);
-      if (group_it == shard.groups.end()) continue;
-      // Keys first: erasing a group's last entry drops it from the index.
-      const Group& members = group_it->second;
-      std::vector<std::string> keys;
-      switch (visit.probe.mode) {
-        case ProbeMode::kScanAll:
-          keys = AllGroupKeys(members.by_value, members.rest);
-          break;
-        case ProbeMode::kScanRest:
-          keys.assign(members.rest.begin(), members.rest.end());
-          break;
-        case ProbeMode::kProbe: {
-          // Rest entries plus the probes' candidates; the set keeps the
-          // visit order sorted, like the full scan's.
-          std::set<std::string> candidates(members.rest.begin(),
-                                           members.rest.end());
-          visit.probe.CollectCandidates(members.by_value, &candidates);
-          keys.assign(candidates.begin(), candidates.end());
-          break;
-        }
-      }
-      for (const std::string& key : keys) {
-        const auto it = shard.entries.find(key);
-        DSSP_CHECK(it != shard.entries.end());
-        if (should_invalidate(*it->second.entry)) {
-          RemoveLocked(shard, it, /*retain_stale=*/true);
-          ++invalidated;
-        }
+      const size_t slot = GroupSlot(visit.group);
+      if (slot >= shard.groups.size()) continue;
+      // Collected before deciding: removing an entry edits the group.
+      const Group& group = shard.groups[slot];
+      visited.assign(group.rest.begin(), group.rest.end());
+      visit.probe.CollectCandidates(group.by_value, &visited);
+      // Keys are unique within the cache, so equal keys are one entry
+      // (selected by overlapping probes).
+      std::sort(visited.begin(), visited.end(),
+                [](const CacheEntry* a, const CacheEntry* b) {
+                  return a->key < b->key;
+                });
+      visited.erase(std::unique(visited.begin(), visited.end()),
+                    visited.end());
+      for (const CacheEntry* entry : visited) {
+        if (!should_invalidate(*entry)) continue;
+        RemoveLocked(shard, shard.entries.find(std::string_view(entry->key)),
+                     /*retain_stale=*/true);
+        ++invalidated;
       }
     }
   }
@@ -264,9 +225,9 @@ size_t QueryCache::Clear() {
     MutexLock lock(shard.mu);
     count += shard.entries.size();
     size_.fetch_sub(shard.entries.size(), std::memory_order_relaxed);
-    shard.entries.clear();
-    shard.groups.clear();
     shard.lru.clear();
+    shard.groups.clear();
+    shard.entries.clear();
   }
   {
     // An administrative reset must not leave servable stale copies behind.

@@ -6,10 +6,8 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,9 +51,13 @@ struct CacheEntry {
 // optional LRU capacity management (a shared provider bounds each tenant's
 // memory).
 //
+// Each entry is one shared immutable CacheEntry, and CacheEntry::key is the
+// only stored copy of its key: the entry map, group buckets, LRU list and
+// stale side store refer to it by view or pointer.
+//
 // Thread safety: safe for concurrent use. Entries are hashed across
 // kNumShards lock-striped shards, each with its own hash map, per-template
-// group index, and LRU list; a lookup or store only contends with
+// group table, and LRU list; a lookup or store only contends with
 // operations on the same shard. Exact global LRU order is preserved via a
 // monotonic access tick per entry: eviction (the only cross-shard
 // operation) takes all shard locks in index order and removes the entry
@@ -67,7 +69,7 @@ class QueryCache {
 
   // Statement-exposed entries are keyed under `view_index` at Insert
   // (`view_index` must outlive the cache). Without one, every entry stays
-  // in its group's unindexed rest set, which every visit reads — sound,
+  // in its group's unindexed rest bucket, which every visit reads — sound,
   // just unpruned.
   explicit QueryCache(const ViewIndexPlan* view_index = nullptr)
       : view_index_(view_index) {}
@@ -112,16 +114,13 @@ class QueryCache {
   std::shared_ptr<const CacheEntry> Lookup(const std::string& key);
 
   // Inserts or overwrites, evicting the least-recently-used entries if the
-  // cache is at capacity.
-  void Insert(CacheEntry entry);
+  // cache is at capacity. The cache shares `entry`, which must not change
+  // afterwards; other caches may hold the same entry.
+  void Insert(std::shared_ptr<const CacheEntry> entry);
 
   // Group keys: template_index for exposed templates, CacheEntry::kNoTemplate
   // for blind-level entries. Sorted; merged across shards.
   std::vector<size_t> GroupKeys() const;
-
-  // Keys of all entries in a group, sorted (copy: callers erase while
-  // iterating).
-  std::vector<std::string> GroupEntryKeys(size_t group) const;
 
   // The one removal path for consistency: carries out a visit list (see
   // ViewIndexPlan::PlanVisits) and erases each visited entry for which
@@ -129,13 +128,14 @@ class QueryCache {
   //
   // Visits shards one at a time, so invalidating never blocks lookups in
   // other shards. In each shard it walks `visits` in order, skipping groups
-  // the shard does not hold. Each visit's probe says which entries of the
-  // group are visited: kScanAll every entry; kScanRest / kProbe skip the
-  // indexed entries the ViewIndexPlan proved `should_invalidate` would
-  // decline. Unindexed entries are always visited. Within a group the
-  // visit order is sorted by key whatever the probe, and `visits` must be
-  // in ascending group order (PlanVisits' order), so stale-retention FIFO
-  // order is identical whenever the erased sets are.
+  // the shard does not hold. Every probe mode visits the group's unindexed
+  // entries plus the indexed ones GroupProbe::CollectCandidates selects
+  // (all, none or the probed buckets), skipping only those the
+  // ViewIndexPlan proved `should_invalidate` would decline; each entry is
+  // decided once. Within a group the visit order is sorted by key whatever
+  // the probe, and `visits` must be in ascending group order (PlanVisits'
+  // order), so stale-retention FIFO order is identical whenever the erased
+  // sets are.
   //
   // `should_invalidate` runs under a shard lock and must not call back into
   // this cache.
@@ -169,9 +169,6 @@ class QueryCache {
   void BumpUpdateEpoch() {
     update_epoch_.fetch_add(1, std::memory_order_relaxed);
   }
-  uint64_t update_epoch() const {
-    return update_epoch_.load(std::memory_order_relaxed);
-  }
 
   // Returns the retained entry for `key` if it is at most
   // `max_updates_behind` epochs old (which is >= 1 for anything retained),
@@ -188,7 +185,7 @@ class QueryCache {
     // global LRU victim is the smallest tail tick over all shards.
     uint64_t tick = 0;
     // Discriminator bound this entry is indexed under in its group's
-    // by_value map; nullopt = the entry lives in the group's rest set.
+    // by_value map; nullopt = the entry lives in the group's rest bucket.
     std::optional<sql::Value> index_key;
   };
 
@@ -199,7 +196,7 @@ class QueryCache {
   // lives in `rest`, which every probe mode visits.
   struct Group {
     ValueKeyMap by_value;
-    std::set<std::string> rest;
+    EntryBucket rest;
 
     bool empty() const { return by_value.empty() && rest.empty(); }
   };
@@ -231,16 +228,25 @@ class QueryCache {
       return a == b.key;
     }
   };
-  using EntryMap = std::unordered_map<std::string, Stored, KeyHash, KeyEqual>;
+  // Keyed by a view of the key of the entry the value holds.
+  using EntryMap =
+      std::unordered_map<std::string_view, Stored, KeyHash, KeyEqual>;
 
   struct Shard {
     mutable Mutex mu;
     EntryMap entries DSSP_GUARDED_BY(mu);
-    std::map<size_t, Group> groups DSSP_GUARDED_BY(mu);
-    // Most-recently-used at the front. Points at the keys of `entries`,
-    // which stay put until their element is erased.
+    // Indexed by GroupSlot; grows on insert to the highest slot stored.
+    std::vector<Group> groups DSSP_GUARDED_BY(mu);
+    // Most-recently-used at the front. Points at the stored entries' keys.
     std::list<const std::string*> lru DSSP_GUARDED_BY(mu);
   };
+
+  // Where a group lives in Shard::groups: template t in slot t + 1, and the
+  // blind group in slot 0 (kNoTemplate + 1 wraps to 0).
+  static size_t GroupSlot(size_t group) {
+    static_assert(CacheEntry::kNoTemplate + 1 == 0);
+    return group + 1;
+  }
 
   Shard& ShardFor(const HashedKey& key) {
     return shards_[key.hash % kNumShards];
@@ -261,6 +267,11 @@ class QueryCache {
   // retention is off). The store shares the entry; it never copies it.
   void RetainStale(std::shared_ptr<const CacheEntry> entry);
 
+  // Drops the retained copy of `key`, if any.
+  void DropStaleLocked(std::string_view key) DSSP_REQUIRES(stale_mu_);
+  // Drops the oldest retained entries until at most `max_entries` remain.
+  void TrimStaleLocked(size_t max_entries) DSSP_REQUIRES(stale_mu_);
+
   // Evicts globally least-recently-used entries until size() <= capacity,
   // charging them to `counter`. Takes all shard locks (in index order) via a
   // dynamic lock array — a pattern thread-safety analysis cannot express, so
@@ -271,16 +282,17 @@ class QueryCache {
   struct StaleStored {
     std::shared_ptr<const CacheEntry> entry;
     uint64_t epoch = 0;  // update_epoch_ when the entry was invalidated.
-    std::list<std::string>::iterator fifo_position;
   };
+  using StaleFifo = std::list<StaleStored>;
 
   std::array<Shard, kNumShards> shards_;
   const ViewIndexPlan* const view_index_;
   mutable Mutex stale_mu_;
-  std::unordered_map<std::string, StaleStored> stale_
+  // The retained entries, oldest at the front.
+  StaleFifo stale_fifo_ DSSP_GUARDED_BY(stale_mu_);
+  // Each retained entry's FIFO position, keyed by a view of its key.
+  std::unordered_map<std::string_view, StaleFifo::iterator> stale_
       DSSP_GUARDED_BY(stale_mu_);
-  // Oldest at the front.
-  std::list<std::string> stale_fifo_ DSSP_GUARDED_BY(stale_mu_);
   std::atomic<size_t> stale_capacity_{0};
   std::atomic<uint64_t> update_epoch_{0};
   std::atomic<uint64_t> tick_{0};

@@ -137,15 +137,20 @@ void DsspNode::SetStaleRetention(const std::string& app_id,
 }
 
 void DsspNode::Store(const std::string& app_id, CacheEntry entry) {
+  StoreShared(app_id, std::make_shared<const CacheEntry>(std::move(entry)));
+}
+
+void DsspNode::StoreShared(const std::string& app_id,
+                           std::shared_ptr<const CacheEntry> entry) {
   AppState* app = FindApp(app_id);
   if (app == nullptr) return;
   // Invalidation reaches an entry only through its group, and decides a
   // whole group from its template: a blind entry filed under a template, a
   // template-exposed one with no template, or an index past the app's
   // templates would be visited wrongly or never. Refuse it uncached.
-  const bool blind = entry.level == analysis::ExposureLevel::kBlind;
-  if (blind ? entry.template_index != CacheEntry::kNoTemplate
-            : entry.template_index >= app->templates->num_queries()) {
+  const bool blind = entry->level == analysis::ExposureLevel::kBlind;
+  if (blind ? entry->template_index != CacheEntry::kNoTemplate
+            : entry->template_index >= app->templates->num_queries()) {
     return;
   }
   app->stats.stores.fetch_add(1, std::memory_order_relaxed);

@@ -148,7 +148,11 @@ class DsspNode : public CacheBackend {
       const std::string& app_id, const std::string& key) override;
   std::optional<CacheEntry> Lookup(const std::string& app_id,
                                    const std::string& key) override;
+  // StoreShared caches `entry` itself, so replicas can share one entry;
+  // Store is StoreShared on a new shared entry.
   void Store(const std::string& app_id, CacheEntry entry) override;
+  void StoreShared(const std::string& app_id,
+                   std::shared_ptr<const CacheEntry> entry);
 
   // Degraded-mode lookup: a recently invalidated entry for `key`, if it is
   // at most `max_updates_behind` observed updates stale (see

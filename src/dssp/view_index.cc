@@ -325,8 +325,18 @@ void ViewIndexPlan::PlanVisits(size_t update_index,
   out->push_back({CacheEntry::kNoTemplate, {}});
 }
 
-void GroupProbe::CollectCandidates(const ValueKeyMap& by_value,
-                                   std::set<std::string>* out) const {
+void GroupProbe::CollectCandidates(
+    const ValueKeyMap& by_value, std::vector<const CacheEntry*>* out) const {
+  const auto append = [out](ValueKeyMap::const_iterator lo,
+                            ValueKeyMap::const_iterator hi) {
+    for (; lo != hi; ++lo) {
+      out->insert(out->end(), lo->second.begin(), lo->second.end());
+    }
+  };
+  if (mode != ProbeMode::kProbe) {
+    if (mode == ProbeMode::kScanAll) append(by_value.begin(), by_value.end());
+    return;
+  }
   for (const auto& [pop, pv] : probes) {
     if (pv.is_null()) continue;
     // Candidates can only lie in pv's type class: a cross-class constraint
@@ -391,9 +401,7 @@ void GroupProbe::CollectCandidates(const ValueKeyMap& by_value,
         }
         break;
     }
-    for (ValueKeyMap::const_iterator it = lo; it != hi; ++it) {
-      out->insert(it->second.begin(), it->second.end());
-    }
+    append(lo, hi);
   }
 }
 

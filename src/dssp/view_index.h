@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,6 +16,8 @@
 
 namespace dssp::service {
 
+struct CacheEntry;
+
 // ---------------------------------------------------------------------------
 // Predicate-indexed view registry (compiled side).
 //
@@ -24,12 +26,13 @@ namespace dssp::service {
 // would still make the per-update invalidation cost linear in the number of
 // cached views. This plan decides which groups an update notice visits and
 // how, and makes the visit sublinear: for each query template it picks one
-// WHERE conjunct `column op ?` — the *discriminator* — and QueryCache keys
-// every statement-exposed entry of that template under the literal bound at
-// that conjunct, in an ordered per-group map (one structure serves both
-// equality point probes and range probes). Which groups: PlanVisits lists,
-// per update template, the groups whose pair is not kNeverInvalidate (the
-// IPM's A cell, static per pair), plus the blind group. How: BuildGroupProbe
+// WHERE conjunct `column op ?` — the *discriminator* — and QueryCache files
+// every statement-exposed entry of that template in a bucket keyed by the
+// literal bound at that conjunct, in an ordered per-group map (one structure
+// serves both equality point probes and range probes). Which groups:
+// PlanVisits lists, per update template, the groups whose pair is not
+// kNeverInvalidate (the IPM's A cell, static per pair), plus the blind
+// group. How: BuildGroupProbe
 // turns the pair's compiled ParamProgram into a constraint on the
 // discriminator bound; the cache then visits only entries whose bound can
 // satisfy it, plus the group's unindexed rest.
@@ -49,9 +52,9 @@ namespace dssp::service {
 //    strategy — the index prunes candidates, it never decides.
 // Any shape this derivation cannot cover degrades to scanning the whole
 // group (kScanAll), and entries whose statements do not expose the needed
-// literals land in the group's rest set, which every probe visits. The
-// fallback ladder therefore is: blind/template entry -> rest set; template
-// without a `column op ?` conjunct -> rest set; pair whose program is not
+// literals land in the group's rest bucket, which every probe visits. The
+// fallback ladder therefore is: blind/template entry -> rest; template
+// without a `column op ?` conjunct -> rest; pair whose program is not
 // probeable -> group scan; malformed bound update -> group scan.
 //
 // Exposure: the index stores only what the entry's exposure level already
@@ -77,8 +80,12 @@ struct ValueLess {
   }
 };
 
-// The per-group ordered index: discriminator bound -> entry keys.
-using ValueKeyMap = std::map<sql::Value, std::set<std::string>, ValueLess>;
+// One bucket: the cache's own entries, by pointer (the key is stored only
+// in CacheEntry::key). Unordered; a visit sorts what it collects by key.
+using EntryBucket = std::unordered_set<const CacheEntry*>;
+
+// The per-group ordered index: discriminator bound -> its bucket.
+using ValueKeyMap = std::map<sql::Value, EntryBucket, ValueLess>;
 
 // The discriminator chosen for one query template (Section "bucket/interval
 // layout" in DESIGN.md): the first WHERE conjunct of the form `column op ?`
@@ -132,10 +139,12 @@ struct GroupProbe {
   sql::CompareOp spec_op = sql::CompareOp::kEq;  // Discriminator operator.
   std::vector<std::pair<sql::CompareOp, sql::Value>> probes;
 
-  // Collects the candidate entry keys the probes select from a group's
-  // value index into `out`. Only meaningful for kProbe.
+  // Appends the indexed entries of a group that this probe visits to
+  // `out`: every bucket (kScanAll), none (kScanRest), or the buckets the
+  // probes select (kProbe). Overlapping probes append a bucket more than
+  // once; the caller sorts and dedups.
   void CollectCandidates(const ValueKeyMap& by_value,
-                         std::set<std::string>* out) const;
+                         std::vector<const CacheEntry*>* out) const;
 };
 
 // One cached group an update notice visits, and how: `group` is a query
@@ -171,7 +180,7 @@ class ViewIndexPlan {
 
   // The discriminator bound under which an entry of `query_index` caching
   // `statement` should be indexed, or nullopt when the entry must go to the
-  // group's rest set (template not indexable, required literal missing, or
+  // group's rest bucket (template not indexable, required literal missing, or
   // a NULL discriminator — NULL satisfies no constraint, so probes would
   // never select it).
   std::optional<sql::Value> IndexKeyFor(size_t query_index,

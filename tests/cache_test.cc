@@ -20,6 +20,11 @@ CacheEntry Entry(const std::string& key, size_t template_index,
   return entry;
 }
 
+// Inserts a new shared entry.
+void Put(QueryCache& cache, CacheEntry entry) {
+  cache.Insert(std::make_shared<const CacheEntry>(std::move(entry)));
+}
+
 // A visit list that scans each of `groups` whole.
 std::vector<GroupVisit> ScanGroups(const std::vector<size_t>& groups) {
   std::vector<GroupVisit> visits;
@@ -41,37 +46,43 @@ size_t InvalidateGroup(QueryCache& cache, size_t group) {
                                  [](const CacheEntry&) { return true; });
 }
 
+// Keys of all entries in `group`, sorted, read by an InvalidateEntries pass
+// that declines them all (no LRU touch, no removal).
+std::vector<std::string> GroupEntryKeys(QueryCache& cache, size_t group) {
+  std::vector<std::string> keys;
+  cache.InvalidateEntries(ScanGroups({group}), [&](const CacheEntry& entry) {
+    keys.push_back(entry.key);
+    return false;
+  });
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 // Whether the group index holds `key`. Unlike Lookup, this leaves the LRU
 // order alone.
-bool Holds(const QueryCache& cache, const std::string& key) {
+bool Holds(QueryCache& cache, const std::string& key) {
   for (size_t group : cache.GroupKeys()) {
-    const std::vector<std::string> keys = cache.GroupEntryKeys(group);
+    const std::vector<std::string> keys = GroupEntryKeys(cache, group);
     if (std::binary_search(keys.begin(), keys.end(), key)) return true;
   }
   return false;
 }
 
-// Cross-checks the cache's own bookkeeping: the group index must account for
-// exactly size() entries, and every indexed entry must exist and belong to
-// its group. The entries are visited by one InvalidateEntries pass per group
-// that declines them all, which leaves the LRU order alone (the pass aborts
-// on an indexed key that has no entry).
+// Cross-checks the cache's own bookkeeping: one InvalidateEntries pass per
+// group, declining every entry (no LRU touch, no removal), must find no
+// empty group and visit exactly size() entries, each in its own group.
 void ExpectConsistent(QueryCache& cache) {
-  size_t indexed = 0;
-  for (size_t group : cache.GroupKeys()) {
-    const std::vector<std::string> keys = cache.GroupEntryKeys(group);
-    EXPECT_FALSE(keys.empty()) << "empty group " << group << " in index";
-    indexed += keys.size();
-  }
-  EXPECT_EQ(indexed, cache.size());
   size_t visited = 0;
   const uint64_t removals = cache.invalidation_removals();
   for (const size_t group : cache.GroupKeys()) {
+    size_t in_group = 0;
     cache.InvalidateEntries(ScanGroups({group}), [&](const CacheEntry& entry) {
       EXPECT_EQ(entry.template_index, group) << entry.key;
-      ++visited;
+      ++in_group;
       return false;
     });
+    EXPECT_GT(in_group, 0u) << "empty group " << group << " in index";
+    visited += in_group;
   }
   EXPECT_EQ(visited, cache.size());
   EXPECT_EQ(cache.invalidation_removals(), removals);
@@ -79,7 +90,7 @@ void ExpectConsistent(QueryCache& cache) {
 
 TEST(QueryCacheTest, InsertLookupInvalidate) {
   QueryCache cache;
-  cache.Insert(Entry("k1", 0));
+  Put(cache, Entry("k1", 0));
   EXPECT_EQ(cache.size(), 1u);
   const std::shared_ptr<const CacheEntry> found = cache.Lookup("k1");
   ASSERT_NE(found, nullptr);
@@ -92,7 +103,7 @@ TEST(QueryCacheTest, InsertLookupInvalidate) {
 
 TEST(QueryCacheTest, InvalidateMissingKeyIsNoop) {
   QueryCache cache;
-  cache.Insert(Entry("k", 0));
+  Put(cache, Entry("k", 0));
   EXPECT_EQ(InvalidateKey(cache, "ghost"), 0u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.invalidation_removals(), 0u);
@@ -102,15 +113,15 @@ TEST(QueryCacheTest, InvalidateMissingKeyIsNoop) {
 
 TEST(QueryCacheTest, InsertOverwrites) {
   QueryCache cache;
-  cache.Insert(Entry("k", 0));
+  Put(cache, Entry("k", 0));
   CacheEntry updated = Entry("k", 1);
   updated.blob = "new";
-  cache.Insert(updated);
+  Put(cache, updated);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.Lookup("k")->blob, "new");
   // The group index follows the overwrite.
-  EXPECT_TRUE(cache.GroupEntryKeys(0).empty());
-  EXPECT_EQ(cache.GroupEntryKeys(1).size(), 1u);
+  EXPECT_TRUE(GroupEntryKeys(cache, 0).empty());
+  EXPECT_EQ(GroupEntryKeys(cache, 1).size(), 1u);
   // An in-place overwrite is neither an eviction nor an invalidation.
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_EQ(cache.invalidation_removals(), 0u);
@@ -118,24 +129,24 @@ TEST(QueryCacheTest, InsertOverwrites) {
 
 TEST(QueryCacheTest, GroupsTrackTemplates) {
   QueryCache cache;
-  cache.Insert(Entry("a1", 0));
-  cache.Insert(Entry("a2", 0));
-  cache.Insert(Entry("b1", 1));
-  cache.Insert(Entry("blind", CacheEntry::kNoTemplate,
+  Put(cache, Entry("a1", 0));
+  Put(cache, Entry("a2", 0));
+  Put(cache, Entry("b1", 1));
+  Put(cache, Entry("blind", CacheEntry::kNoTemplate,
                      analysis::ExposureLevel::kBlind));
   const std::vector<size_t> groups = cache.GroupKeys();
   ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(cache.GroupEntryKeys(0).size(), 2u);
-  EXPECT_EQ(cache.GroupEntryKeys(1).size(), 1u);
-  EXPECT_EQ(cache.GroupEntryKeys(CacheEntry::kNoTemplate).size(), 1u);
-  EXPECT_TRUE(cache.GroupEntryKeys(42).empty());
+  EXPECT_EQ(GroupEntryKeys(cache, 0).size(), 2u);
+  EXPECT_EQ(GroupEntryKeys(cache, 1).size(), 1u);
+  EXPECT_EQ(GroupEntryKeys(cache, CacheEntry::kNoTemplate).size(), 1u);
+  EXPECT_TRUE(GroupEntryKeys(cache, 42).empty());
 }
 
 TEST(QueryCacheTest, InvalidateWholeGroup) {
   QueryCache cache;
-  cache.Insert(Entry("a1", 0));
-  cache.Insert(Entry("a2", 0));
-  cache.Insert(Entry("b1", 1));
+  Put(cache, Entry("a1", 0));
+  Put(cache, Entry("a2", 0));
+  Put(cache, Entry("b1", 1));
   EXPECT_EQ(InvalidateGroup(cache, 0), 2u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.Lookup("a1"), nullptr);
@@ -146,8 +157,8 @@ TEST(QueryCacheTest, InvalidateWholeGroup) {
 
 TEST(QueryCacheTest, Clear) {
   QueryCache cache;
-  cache.Insert(Entry("a", 0));
-  cache.Insert(Entry("b", 1));
+  Put(cache, Entry("a", 0));
+  Put(cache, Entry("b", 1));
   EXPECT_EQ(cache.Clear(), 2u);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_TRUE(cache.GroupKeys().empty());
@@ -158,19 +169,19 @@ TEST(QueryCacheTest, Clear) {
 TEST(QueryCacheTest, LruEvictionOrder) {
   QueryCache cache;
   cache.SetCapacity(3);
-  cache.Insert(Entry("a", 0));
-  cache.Insert(Entry("b", 0));
-  cache.Insert(Entry("c", 1));
+  Put(cache, Entry("a", 0));
+  Put(cache, Entry("b", 0));
+  Put(cache, Entry("c", 1));
   // Touch "a": it becomes most recent; "b" is now the LRU victim.
   EXPECT_NE(cache.Lookup("a"), nullptr);
-  cache.Insert(Entry("d", 1));
+  Put(cache, Entry("d", 1));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_FALSE(Holds(cache, "b"));
   EXPECT_TRUE(Holds(cache, "a"));
   EXPECT_EQ(cache.evictions(), 1u);
   // Group index stays consistent with the eviction.
-  EXPECT_EQ(cache.GroupEntryKeys(0).size(), 1u);
-  EXPECT_EQ(cache.GroupEntryKeys(1).size(), 2u);
+  EXPECT_EQ(GroupEntryKeys(cache, 0).size(), 1u);
+  EXPECT_EQ(GroupEntryKeys(cache, 1).size(), 2u);
 }
 
 // An unbounded cache never evicts, so its hits keep no recency: a cap set
@@ -178,9 +189,9 @@ TEST(QueryCacheTest, LruEvictionOrder) {
 // as recent.
 TEST(QueryCacheTest, UnboundedHitsKeepNoRecency) {
   QueryCache cache;
-  cache.Insert(Entry("a", 0));
-  cache.Insert(Entry("b", 0));
-  cache.Insert(Entry("c", 1));
+  Put(cache, Entry("a", 0));
+  Put(cache, Entry("b", 0));
+  Put(cache, Entry("c", 1));
   // Hit "a" while unbounded: the entry is served, its position kept.
   EXPECT_NE(cache.Lookup("a"), nullptr);
   cache.SetCapacity(2);
@@ -190,7 +201,7 @@ TEST(QueryCacheTest, UnboundedHitsKeepNoRecency) {
   EXPECT_TRUE(Holds(cache, "c"));
   // Bounded now: a hit on "b" makes "c" the next victim.
   EXPECT_NE(cache.Lookup("b"), nullptr);
-  cache.Insert(Entry("d", 1));
+  Put(cache, Entry("d", 1));
   EXPECT_EQ(cache.insert_evictions(), 1u);
   EXPECT_TRUE(Holds(cache, "b"));
   EXPECT_FALSE(Holds(cache, "c"));
@@ -201,7 +212,7 @@ TEST(QueryCacheTest, UnboundedHitsKeepNoRecency) {
 TEST(QueryCacheTest, ShrinkingCapacityEvictsImmediately) {
   QueryCache cache;
   for (int i = 0; i < 10; ++i) {
-    cache.Insert(Entry("k" + std::to_string(i), 0));
+    Put(cache, Entry("k" + std::to_string(i), 0));
   }
   cache.SetCapacity(4);
   EXPECT_EQ(cache.size(), 4u);
@@ -216,7 +227,7 @@ TEST(QueryCacheTest, ZeroCapacityMeansUnlimited) {
   QueryCache cache;
   cache.SetCapacity(0);
   for (int i = 0; i < 1000; ++i) {
-    cache.Insert(Entry("k" + std::to_string(i), 0));
+    Put(cache, Entry("k" + std::to_string(i), 0));
   }
   EXPECT_EQ(cache.size(), 1000u);
   EXPECT_EQ(cache.evictions(), 0u);
@@ -225,15 +236,15 @@ TEST(QueryCacheTest, ZeroCapacityMeansUnlimited) {
 TEST(QueryCacheTest, GroupInvalidationMaintainsLru) {
   QueryCache cache;
   cache.SetCapacity(3);
-  cache.Insert(Entry("a", 0));
-  cache.Insert(Entry("b", 1));
-  cache.Insert(Entry("c", 0));
+  Put(cache, Entry("a", 0));
+  Put(cache, Entry("b", 1));
+  Put(cache, Entry("c", 0));
   EXPECT_EQ(InvalidateGroup(cache, 0), 2u);
   // LRU list no longer references erased keys; inserting past capacity
   // evicts the true survivor order without crashing.
-  cache.Insert(Entry("d", 1));
-  cache.Insert(Entry("e", 1));
-  cache.Insert(Entry("f", 1));
+  Put(cache, Entry("d", 1));
+  Put(cache, Entry("e", 1));
+  Put(cache, Entry("f", 1));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_FALSE(Holds(cache, "b"));
 }
@@ -244,15 +255,15 @@ TEST(QueryCacheTest, GroupInvalidationMaintainsLru) {
 TEST(QueryCacheTest, EvictionCountersSplitByCause) {
   QueryCache cache;
   for (int i = 0; i < 6; ++i) {
-    cache.Insert(Entry("k" + std::to_string(i), 0));
+    Put(cache, Entry("k" + std::to_string(i), 0));
   }
   // Shrink: 6 entries -> capacity 4 evicts 2.
   cache.SetCapacity(4);
   EXPECT_EQ(cache.shrink_evictions(), 2u);
   EXPECT_EQ(cache.insert_evictions(), 0u);
   // Overflow: two more inserts at capacity evict 2 more.
-  cache.Insert(Entry("k6", 0));
-  cache.Insert(Entry("k7", 0));
+  Put(cache, Entry("k6", 0));
+  Put(cache, Entry("k7", 0));
   EXPECT_EQ(cache.insert_evictions(), 2u);
   EXPECT_EQ(cache.shrink_evictions(), 2u);
   EXPECT_EQ(cache.evictions(), 4u);
@@ -265,10 +276,10 @@ TEST(QueryCacheTest, EvictionCountersSplitByCause) {
 
 TEST(QueryCacheTest, InvalidateEntriesFiltersGroupsThenEntries) {
   QueryCache cache;
-  cache.Insert(Entry("a1", 0));
-  cache.Insert(Entry("a2", 0));
-  cache.Insert(Entry("b1", 1));
-  cache.Insert(Entry("b2", 1));
+  Put(cache, Entry("a1", 0));
+  Put(cache, Entry("a2", 0));
+  Put(cache, Entry("b1", 1));
+  Put(cache, Entry("b2", 1));
   const size_t erased = cache.InvalidateEntries(
       ScanGroups({1}),
       [](const CacheEntry& entry) { return entry.key != "b2"; });
@@ -288,12 +299,12 @@ TEST(QueryCacheTest, InvariantsSurviveMixedInterleavings) {
   QueryCache cache;
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 12; ++i) {
-      cache.Insert(Entry("k" + std::to_string(i), i % 3));
+      Put(cache, Entry("k" + std::to_string(i), i % 3));
     }
     ExpectConsistent(cache);
     // Overwrite half of them into a different group.
     for (int i = 0; i < 6; ++i) {
-      cache.Insert(Entry("k" + std::to_string(i), 3));
+      Put(cache, Entry("k" + std::to_string(i), 3));
     }
     ExpectConsistent(cache);
     cache.SetCapacity(8);
@@ -303,7 +314,7 @@ TEST(QueryCacheTest, InvariantsSurviveMixedInterleavings) {
     ExpectConsistent(cache);
     // Overwrite survivors in place at capacity, then grow again.
     for (int i = 6; i < 12; ++i) {
-      cache.Insert(Entry("k" + std::to_string(i), 0));
+      Put(cache, Entry("k" + std::to_string(i), 0));
     }
     ExpectConsistent(cache);
     EXPECT_LE(cache.size(), 8u);
@@ -317,7 +328,7 @@ TEST(QueryCacheTest, InvariantsSurviveMixedInterleavings) {
 
 TEST(StaleStoreTest, RetentionOffByDefault) {
   QueryCache cache;
-  cache.Insert(Entry("k", 0));
+  Put(cache, Entry("k", 0));
   InvalidateKey(cache, "k");
   EXPECT_EQ(cache.StaleSize(), 0u);
   EXPECT_EQ(cache.LookupStale("k", 100), nullptr);
@@ -326,7 +337,7 @@ TEST(StaleStoreTest, RetentionOffByDefault) {
 TEST(StaleStoreTest, InvalidationRetainsAndKStalenessAges) {
   QueryCache cache;
   cache.SetStaleRetention(8);
-  cache.Insert(Entry("k", 0));
+  Put(cache, Entry("k", 0));
   InvalidateKey(cache, "k");  // Consistency removal: retained at epoch 0.
   cache.BumpUpdateEpoch();  // The update that killed it: now 1 behind.
 
@@ -345,10 +356,10 @@ TEST(StaleStoreTest, InvalidationRetainsAndKStalenessAges) {
 TEST(StaleStoreTest, GroupAndFilteredInvalidationRetain) {
   QueryCache cache;
   cache.SetStaleRetention(8);
-  cache.Insert(Entry("g0-a", 0));
-  cache.Insert(Entry("g0-b", 0));
-  cache.Insert(Entry("g1-a", 1));
-  cache.Insert(Entry("g1-b", 1));
+  Put(cache, Entry("g0-a", 0));
+  Put(cache, Entry("g0-b", 0));
+  Put(cache, Entry("g1-a", 1));
+  Put(cache, Entry("g1-b", 1));
   InvalidateGroup(cache, 0);
   cache.InvalidateEntries(
       ScanGroups({1}),
@@ -367,9 +378,9 @@ TEST(StaleStoreTest, CapacityEvictionsAreNotRetained) {
   QueryCache cache;
   cache.SetStaleRetention(8);
   cache.SetCapacity(2);
-  cache.Insert(Entry("a", 0));
-  cache.Insert(Entry("b", 0));
-  cache.Insert(Entry("c", 0));  // Insert-overflow evicts "a".
+  Put(cache, Entry("a", 0));
+  Put(cache, Entry("b", 0));
+  Put(cache, Entry("c", 0));  // Insert-overflow evicts "a".
   ASSERT_EQ(cache.insert_evictions(), 1u);
   EXPECT_EQ(cache.LookupStale("a", 100), nullptr);
 
@@ -381,7 +392,7 @@ TEST(StaleStoreTest, CapacityEvictionsAreNotRetained) {
   // An eviction victim that was ALSO invalidated earlier keeps only the
   // invalidation-time copy: eviction never refreshes or removes it.
   cache.SetCapacity(0);
-  cache.Insert(Entry("d", 0));
+  Put(cache, Entry("d", 0));
   InvalidateKey(cache, "d");
   cache.BumpUpdateEpoch();
   EXPECT_NE(cache.LookupStale("d", 1), nullptr);
@@ -391,7 +402,7 @@ TEST(StaleStoreTest, FifoBoundDropsOldestRetained) {
   QueryCache cache;
   cache.SetStaleRetention(2);
   for (const char* key : {"a", "b", "c"}) {
-    cache.Insert(Entry(key, 0));
+    Put(cache, Entry(key, 0));
     InvalidateKey(cache, key);
   }
   EXPECT_EQ(cache.StaleSize(), 2u);
@@ -400,7 +411,7 @@ TEST(StaleStoreTest, FifoBoundDropsOldestRetained) {
   EXPECT_NE(cache.LookupStale("c", 100), nullptr);
 
   // Re-invalidating a retained key refreshes its FIFO slot, not a new one.
-  cache.Insert(Entry("b", 0));
+  Put(cache, Entry("b", 0));
   InvalidateKey(cache, "b");
   EXPECT_EQ(cache.StaleSize(), 2u);
   EXPECT_NE(cache.LookupStale("c", 100), nullptr);
@@ -409,7 +420,7 @@ TEST(StaleStoreTest, FifoBoundDropsOldestRetained) {
 TEST(StaleStoreTest, FreshInsertSupersedesStaleCopy) {
   QueryCache cache;
   cache.SetStaleRetention(8);
-  cache.Insert(Entry("k", 0));
+  Put(cache, Entry("k", 0));
   InvalidateKey(cache, "k");
   ASSERT_NE(cache.LookupStale("k", 100), nullptr);
 
@@ -418,7 +429,7 @@ TEST(StaleStoreTest, FreshInsertSupersedesStaleCopy) {
   // already saw.
   CacheEntry fresh = Entry("k", 0);
   fresh.blob = "fresh";
-  cache.Insert(fresh);
+  Put(cache, fresh);
   EXPECT_EQ(cache.LookupStale("k", 100), nullptr);
   EXPECT_EQ(cache.StaleSize(), 0u);
 
@@ -432,7 +443,7 @@ TEST(StaleStoreTest, FreshInsertSupersedesStaleCopy) {
 TEST(StaleStoreTest, DisablingRetentionAndClearDropEverything) {
   QueryCache cache;
   cache.SetStaleRetention(8);
-  cache.Insert(Entry("a", 0));
+  Put(cache, Entry("a", 0));
   InvalidateKey(cache, "a");
   ASSERT_EQ(cache.StaleSize(), 1u);
   cache.SetStaleRetention(0);
@@ -440,9 +451,9 @@ TEST(StaleStoreTest, DisablingRetentionAndClearDropEverything) {
   EXPECT_EQ(cache.LookupStale("a", 100), nullptr);
 
   cache.SetStaleRetention(8);
-  cache.Insert(Entry("b", 0));
+  Put(cache, Entry("b", 0));
   InvalidateKey(cache, "b");
-  cache.Insert(Entry("c", 0));
+  Put(cache, Entry("c", 0));
   ASSERT_EQ(cache.StaleSize(), 1u);
   // Clear is an administrative reset: live entries AND stale copies go.
   cache.Clear();
@@ -455,7 +466,7 @@ TEST(StaleStoreTest, ShrinkingRetentionTrimsOldestFirst) {
   cache.SetStaleRetention(8);
   for (int i = 0; i < 5; ++i) {
     const std::string key = "k" + std::to_string(i);
-    cache.Insert(Entry(key, 0));
+    Put(cache, Entry(key, 0));
     InvalidateKey(cache, key);
   }
   ASSERT_EQ(cache.StaleSize(), 5u);
@@ -469,10 +480,10 @@ TEST(StaleStoreTest, ShrinkingRetentionTrimsOldestFirst) {
 TEST(QueryCacheTest, OverwriteAtCapacityDoesNotEvict) {
   QueryCache cache;
   cache.SetCapacity(2);
-  cache.Insert(Entry("a", 0));
-  cache.Insert(Entry("b", 0));
+  Put(cache, Entry("a", 0));
+  Put(cache, Entry("b", 0));
   // Overwriting an existing key at full capacity replaces in place.
-  cache.Insert(Entry("a", 1));
+  Put(cache, Entry("a", 1));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_TRUE(Holds(cache, "a"));
@@ -502,7 +513,7 @@ void ExpectHeld(const std::shared_ptr<const CacheEntry>& held,
 
 TEST(SharedEntryTest, LookupsShareOneEntry) {
   QueryCache cache;
-  cache.Insert(HeapEntry("k", 0, "v0"));
+  Put(cache, HeapEntry("k", 0, "v0"));
   const std::shared_ptr<const CacheEntry> first = cache.Lookup("k");
   const std::shared_ptr<const CacheEntry> second = cache.Lookup("k");
   ASSERT_NE(first, nullptr);
@@ -512,9 +523,9 @@ TEST(SharedEntryTest, LookupsShareOneEntry) {
 
 TEST(SharedEntryTest, HeldEntrySurvivesOverwrite) {
   QueryCache cache;
-  cache.Insert(HeapEntry("k", 0, "v0"));
+  Put(cache, HeapEntry("k", 0, "v0"));
   const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
-  cache.Insert(HeapEntry("k", 1, "v1"));
+  Put(cache, HeapEntry("k", 1, "v1"));
   ExpectHeld(held, "k", 0, "v0");
   ExpectHeld(cache.Lookup("k"), "k", 1, "v1");
   ExpectConsistent(cache);
@@ -522,7 +533,7 @@ TEST(SharedEntryTest, HeldEntrySurvivesOverwrite) {
 
 TEST(SharedEntryTest, HeldEntrySurvivesInvalidation) {
   QueryCache cache;
-  cache.Insert(HeapEntry("k", 0, "v0"));
+  Put(cache, HeapEntry("k", 0, "v0"));
   const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
   EXPECT_EQ(InvalidateKey(cache, "k"), 1u);
   EXPECT_EQ(cache.Lookup("k"), nullptr);
@@ -532,9 +543,9 @@ TEST(SharedEntryTest, HeldEntrySurvivesInvalidation) {
 TEST(SharedEntryTest, HeldEntrySurvivesCapacityEviction) {
   QueryCache cache;
   cache.SetCapacity(1);
-  cache.Insert(HeapEntry("k", 0, "v0"));
+  Put(cache, HeapEntry("k", 0, "v0"));
   const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
-  cache.Insert(HeapEntry("other", 0, "v0"));
+  Put(cache, HeapEntry("other", 0, "v0"));
   ASSERT_EQ(cache.insert_evictions(), 1u);
   EXPECT_EQ(cache.Lookup("k"), nullptr);
   ExpectHeld(held, "k", 0, "v0");
@@ -543,7 +554,7 @@ TEST(SharedEntryTest, HeldEntrySurvivesCapacityEviction) {
 TEST(SharedEntryTest, HeldEntrySurvivesClear) {
   QueryCache cache;
   cache.SetStaleRetention(4);
-  cache.Insert(HeapEntry("k", 0, "v0"));
+  Put(cache, HeapEntry("k", 0, "v0"));
   const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
   EXPECT_EQ(cache.Clear(), 1u);
   EXPECT_EQ(cache.Lookup("k"), nullptr);
@@ -555,13 +566,13 @@ TEST(SharedEntryTest, HeldEntrySurvivesClear) {
 TEST(SharedEntryTest, StaleStoreSharesTheInvalidatedEntry) {
   QueryCache cache;
   cache.SetStaleRetention(4);
-  cache.Insert(HeapEntry("k", 0, "v0"));
+  Put(cache, HeapEntry("k", 0, "v0"));
   const std::shared_ptr<const CacheEntry> held = cache.Lookup("k");
   InvalidateKey(cache, "k");
   cache.BumpUpdateEpoch();
   const std::shared_ptr<const CacheEntry> stale = cache.LookupStale("k", 1);
   EXPECT_EQ(stale.get(), held.get());
-  cache.Insert(HeapEntry("k", 0, "v1"));
+  Put(cache, HeapEntry("k", 0, "v1"));
   EXPECT_EQ(cache.LookupStale("k", 1), nullptr);
   ExpectHeld(stale, "k", 0, "v0");
 }

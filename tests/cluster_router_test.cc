@@ -292,6 +292,42 @@ TEST(ClusterRouterTest, StoresReplicateToTheReplicaSet) {
   EXPECT_EQ(router.route_stats().replica_fallbacks, 0u);
 }
 
+// A fill stores one entry object on every replica. Each replica drops its
+// reference only when its own invalidation notice lands.
+TEST(ClusterRouterTest, ReplicasShareOneEntryUntilTheirOwnNoticeLands) {
+  ClusterOptions options;
+  options.num_nodes = 2;
+  options.replication = 2;  // Both members hold every key.
+  options.bus.bus_lag = 1;  // A notice waits on the bus until flushed.
+  ClusterRouter router(options);
+  auto app = MakeKvApp("kv", &router);
+
+  service::CacheEntry fill;
+  fill.key = "k";
+  fill.blob = "blob";
+  router.Store("kv", std::move(fill));
+  const std::shared_ptr<const service::CacheEntry> held =
+      router.node(0).LookupShared("kv", "k");
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(router.node(1).LookupShared("kv", "k"), held);
+
+  service::UpdateNotice blind;  // Blind: invalidates every entry.
+  router.OnUpdate("kv", blind);
+  ASSERT_EQ(router.bus().Pending(0), 1u);
+  ASSERT_EQ(router.bus().Pending(1), 1u);
+  ASSERT_TRUE(router.bus().Flush(0).ok());
+  EXPECT_EQ(router.node(0).LookupShared("kv", "k"), nullptr);
+  // Member 1 has not seen its notice yet: it still serves the shared entry,
+  // within the bus-lag bound.
+  EXPECT_EQ(router.node(1).LookupShared("kv", "k"), held);
+  EXPECT_EQ(router.LookupShared("kv", "k"), held);
+
+  ASSERT_TRUE(router.bus().Flush(1).ok());
+  EXPECT_EQ(router.node(1).LookupShared("kv", "k"), nullptr);
+  EXPECT_EQ(router.LookupShared("kv", "k"), nullptr);
+  EXPECT_EQ(held->blob, "blob");  // The caller's reference still reads.
+}
+
 TEST(ClusterRouterTest, SingleNodeClusterBehavesLikeOneNode) {
   ClusterOptions options;
   options.num_nodes = 1;

@@ -282,7 +282,8 @@ TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
         switch ((i + t) % 8) {
           case 0:
           case 1:
-            cache.Insert(TemplateEntry(key, k % 4));
+            cache.Insert(std::make_shared<const CacheEntry>(
+                TemplateEntry(key, k % 4)));
             break;
           case 2:
             cache.InvalidateEntries(
@@ -295,7 +296,9 @@ TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
                 [](const CacheEntry&) { return true; });
             break;
           case 4:
-            cache.GroupEntryKeys(static_cast<size_t>(k % 4));
+            // A read-only visit: every entry declined.
+            cache.InvalidateEntries({all_groups[static_cast<size_t>(k % 4)]},
+                                    [](const CacheEntry&) { return false; });
             break;
           case 5:
             cache.SetCapacity(i % 2 == 0 ? 128 : 0);
@@ -313,7 +316,12 @@ TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {
   cache.SetCapacity(0);
   size_t indexed = 0;
   for (size_t group : cache.GroupKeys()) {
-    for (const std::string& key : cache.GroupEntryKeys(group)) {
+    std::vector<std::string> keys;  // Read by a visit that declines all.
+    cache.InvalidateEntries({{group, {}}}, [&keys](const CacheEntry& entry) {
+      keys.push_back(entry.key);
+      return false;
+    });
+    for (const std::string& key : keys) {
       const std::shared_ptr<const CacheEntry> entry = cache.Lookup(key);
       ASSERT_NE(entry, nullptr) << "indexed key missing: " << key;
       EXPECT_EQ(entry->template_index, group);

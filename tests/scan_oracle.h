@@ -14,6 +14,7 @@
 #define DSSP_TESTS_SCAN_ORACLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -39,7 +40,9 @@ class ScanOracle {
   QueryCache& cache() { return cache_; }
   uint64_t entries_invalidated() const { return entries_invalidated_; }
 
-  void Store(CacheEntry entry) { cache_.Insert(std::move(entry)); }
+  void Store(CacheEntry entry) {
+    cache_.Insert(std::make_shared<const CacheEntry>(std::move(entry)));
+  }
 
   // Applies one well-formed notice (see DsspNode::ValidateNotice); returns
   // the entries it invalidated.

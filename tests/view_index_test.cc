@@ -13,10 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/plan.h"
@@ -24,6 +28,7 @@
 #include "common/random.h"
 #include "crypto/keyring.h"
 #include "dssp/app.h"
+#include "dssp/cache.h"
 #include "dssp/node.h"
 #include "dssp/view_index.h"
 #include "engine/database.h"
@@ -92,6 +97,30 @@ struct Compiled {
     index = std::make_unique<ViewIndexPlan>(
         ViewIndexPlan::Compile(templates, catalog, *plan));
   }
+};
+
+// A group's value index over entries the test owns.
+class TestBuckets {
+ public:
+  void Add(const Value& bound, const std::string& key) {
+    CacheEntry& entry = entries_.emplace_back();
+    entry.key = key;
+    by_value_[bound].insert(&entry);
+  }
+
+  // The keys `probe` selects, sorted; an entry selected twice shows twice.
+  std::vector<std::string> Collect(const GroupProbe& probe) const {
+    std::vector<const CacheEntry*> selected;
+    probe.CollectCandidates(by_value_, &selected);
+    std::vector<std::string> keys;
+    for (const CacheEntry* entry : selected) keys.push_back(entry->key);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+ private:
+  std::deque<CacheEntry> entries_;  // Stable addresses.
+  ValueKeyMap by_value_;
 };
 
 TEST(ViewIndexPlanTest, PicksEqualityDiscriminatorOverRange) {
@@ -174,17 +203,16 @@ TEST(ViewIndexPlanTest, EqualityProbeSelectsOnlyMatchingBucket) {
              {{"U1", "DELETE FROM t1 WHERE a = ?"}});
   const UpdateTemplate& u = c.templates.updates()[0];
 
-  ValueKeyMap by_value;
-  by_value[Value(1)].insert("k1");
-  by_value[Value(5)].insert("k5a");
-  by_value[Value(5)].insert("k5b");
-  by_value[Value(9)].insert("k9");
+  TestBuckets buckets;
+  buckets.Add(Value(1), "k1");
+  buckets.Add(Value(5), "k5a");
+  buckets.Add(Value(5), "k5b");
+  buckets.Add(Value(9), "k9");
 
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value(5)}));
   ASSERT_EQ(probe.mode, ProbeMode::kProbe);
-  std::set<std::string> out;
-  probe.CollectCandidates(by_value, &out);
-  EXPECT_EQ(out, (std::set<std::string>{"k5a", "k5b"}));
+  EXPECT_EQ(buckets.Collect(probe),
+            (std::vector<std::string>{"k5a", "k5b"}));
 }
 
 TEST(ViewIndexPlanTest, RangeDiscriminatorProbeIsConservative) {
@@ -194,35 +222,31 @@ TEST(ViewIndexPlanTest, RangeDiscriminatorProbeIsConservative) {
 
   // Entry intervals are [bound, +inf); a point update at 5 can only touch
   // entries whose bound <= 5.
-  ValueKeyMap by_value;
-  by_value[Value(1)].insert("k1");
-  by_value[Value(5)].insert("k5");
-  by_value[Value(9)].insert("k9");
-  by_value[Value(std::string("m"))].insert("kstr");
+  TestBuckets buckets;
+  buckets.Add(Value(1), "k1");
+  buckets.Add(Value(5), "k5");
+  buckets.Add(Value(9), "k9");
+  buckets.Add(Value(std::string("m")), "kstr");
 
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value(5)}));
   ASSERT_EQ(probe.mode, ProbeMode::kProbe);
-  std::set<std::string> out;
-  probe.CollectCandidates(by_value, &out);
   // The string-keyed entry is outside the numeric type class: a numeric
   // point never satisfies a string constraint conjunction.
-  EXPECT_EQ(out, (std::set<std::string>{"k1", "k5"}));
+  EXPECT_EQ(buckets.Collect(probe), (std::vector<std::string>{"k1", "k5"}));
 }
 
 TEST(ViewIndexPlanTest, NullProbeOperandSelectsNothing) {
   Compiled c({{"Q1", "SELECT a, b, c FROM t1 WHERE a = ?"}},
              {{"U1", "DELETE FROM t1 WHERE a = ?"}});
   const UpdateTemplate& u = c.templates.updates()[0];
-  ValueKeyMap by_value;
-  by_value[Value(1)].insert("k1");
+  TestBuckets buckets;
+  buckets.Add(Value(1), "k1");
 
   // A NULL update operand satisfies no comparison: the check can never
   // fire, so no indexed entry needs visiting.
   const GroupProbe probe = c.index->BuildGroupProbe(0, 0, u.Bind({Value()}));
   ASSERT_EQ(probe.mode, ProbeMode::kProbe);
-  std::set<std::string> out;
-  probe.CollectCandidates(by_value, &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(buckets.Collect(probe).empty());
 }
 
 TEST(ViewIndexPlanTest, MalformedBoundUpdateDegradesToScan) {
@@ -234,6 +258,79 @@ TEST(ViewIndexPlanTest, MalformedBoundUpdateDegradesToScan) {
   const GroupProbe probe =
       c.index->BuildGroupProbe(0, 0, c.templates.updates()[0].statement());
   EXPECT_EQ(probe.mode, ProbeMode::kScanAll);
+}
+
+// Two overlapping probes (`= 5` and `<= 7` against an equality
+// discriminator) select bucket 5 twice. Under every probe mode the visit
+// decides each entry once, in ascending key order.
+TEST(GroupVisitTest, OverlappingProbesVisitEachEntryOnceInKeyOrder) {
+  Compiled c({{"Q1", "SELECT a, b, c FROM t1 WHERE a = ?"}},
+             {{"U1", "DELETE FROM t1 WHERE a = ?"}});
+  // Visit order is per shard, so use keys of one shard (the cache picks a
+  // key's shard by std::hash modulo kNumShards).
+  const auto shard_of = [](const std::string& key) {
+    return std::hash<std::string_view>{}(key) % QueryCache::kNumShards;
+  };
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 8; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    if (shard_of(key) == shard_of("key0")) keys.push_back(key);
+  }
+  std::sort(keys.begin(), keys.end());
+  // Bound per key, in ascending key order; nullopt = template level, which
+  // goes to the group's unindexed rest.
+  const std::vector<std::optional<int64_t>> bounds = {
+      std::nullopt, 5, 3, 5, std::nullopt, 7, 9, 5};
+
+  QueryCache cache(c.index.get());
+  for (size_t i = keys.size(); i-- > 0;) {  // Descending: not key order.
+    auto entry = std::make_shared<CacheEntry>();
+    entry->key = keys[i];
+    entry->template_index = 0;
+    entry->blob = "blob";
+    entry->level = ExposureLevel::kTemplate;
+    if (bounds[i].has_value()) {
+      entry->level = ExposureLevel::kStmt;
+      entry->statement =
+          c.templates.queries()[0].Bind({Value(*bounds[i])});
+    }
+    cache.Insert(std::move(entry));
+  }
+
+  GroupProbe overlapping;
+  overlapping.mode = ProbeMode::kProbe;
+  overlapping.spec_op = sql::CompareOp::kEq;
+  overlapping.probes = {{sql::CompareOp::kEq, Value(5)},
+                        {sql::CompareOp::kLe, Value(7)}};
+  const auto visited_keys = [&](const GroupProbe& probe) {
+    std::vector<std::string> visited;
+    EXPECT_EQ(cache.InvalidateEntries({{0, probe}},
+                                      [&](const CacheEntry& entry) {
+                                        visited.push_back(entry.key);
+                                        return false;
+                                      }),
+              0u);
+    return visited;
+  };
+  const auto keys_where = [&](const std::function<bool(size_t)>& keep) {
+    std::vector<std::string> out;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (keep(i)) out.push_back(keys[i]);
+    }
+    return out;
+  };
+
+  EXPECT_EQ(visited_keys(overlapping), keys_where([&](size_t i) {
+              return !bounds[i].has_value() || *bounds[i] <= 7;
+            }));
+  GroupProbe scan_all;
+  EXPECT_EQ(visited_keys(scan_all), keys);
+  GroupProbe scan_rest;
+  scan_rest.mode = ProbeMode::kScanRest;
+  EXPECT_EQ(visited_keys(scan_rest), keys_where([&](size_t i) {
+              return !bounds[i].has_value();
+            }));
+  EXPECT_EQ(cache.size(), keys.size());
 }
 
 // ----- Node-level differential: probed vs plain scan. -----
