@@ -5,6 +5,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/micro_util.h"
+#include "workloads/bookstore.h"
 
 namespace {
 
@@ -12,22 +13,33 @@ using dssp::analysis::ExposureLevel;
 using dssp::bench::BuildSystem;
 using dssp::sql::Value;
 
-void RunQueryPath(benchmark::State& state, ExposureLevel level) {
+void RunQueryPath(benchmark::State& state, ExposureLevel level,
+                  const char* template_id = "Q2",
+                  const std::vector<Value>& params = {Value(17)}) {
   auto system = BuildSystem("bookstore", 0.5, 5);
   DSSP_CHECK_OK(system->app->SetExposure(dssp::bench::UniformExposure(
       *system->app, level, ExposureLevel::kStmt)));
   // Warm the entry, then measure the hit path.
-  DSSP_CHECK(system->app->Query("Q2", {Value(17)}).ok());
+  auto warm = system->app->Query(template_id, params);
+  DSSP_CHECK(warm.ok());
   for (auto _ : state) {
-    auto result = system->app->Query("Q2", {Value(17)});
+    auto result = system->app->Query(template_id, params);
     benchmark::DoNotOptimize(result);
   }
+  state.counters["rows"] = static_cast<double>(warm->num_rows());
 }
 
 void BM_CacheHitView(benchmark::State& state) {
   RunQueryPath(state, ExposureLevel::kView);
 }
 BENCHMARK(BM_CacheHitView);
+
+// A multi-row view-level hit: a subject search (Q4, up to 50 rows).
+void BM_CacheHitViewSearch(benchmark::State& state) {
+  RunQueryPath(state, ExposureLevel::kView, "Q4",
+               {Value(dssp::workloads::BookstoreSubject(3))});
+}
+BENCHMARK(BM_CacheHitViewSearch);
 
 void BM_CacheHitStmt(benchmark::State& state) {
   RunQueryPath(state, ExposureLevel::kStmt);

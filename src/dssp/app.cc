@@ -166,16 +166,20 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
 
   // `blob` views the bytes a hit returns: the shared cache entry's, the
   // home server's response, or a stale entry's. Each owner below outlives
-  // the decryption at the end.
+  // the decryption at the end. `result` holds a view-level result that is
+  // already decoded (the entry's or the fill's), shared rather than decoded
+  // again.
   const std::shared_ptr<const CacheEntry> entry =
       dssp_->LookupShared(app_id(), key);
   std::string fetched;
   std::optional<CacheEntry> stale;
   std::string_view blob;
+  std::optional<engine::QueryResult> result;
   s.request_bytes = kRequestOverheadBytes + key.size();
   if (entry != nullptr) {
     s.cache_hit = true;
     blob = entry->blob;
+    result = entry->result;
   } else {
     // Miss: the DSSP forwards the (encrypted) query to the home server as a
     // protocol frame (Figure 2), over the configured wire path.
@@ -201,9 +205,9 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
         fresh.statement = tmpl.Bind(params);
       }
       if (plaintext_result) {
-        DSSP_ASSIGN_OR_RETURN(engine::QueryResult plain,
+        DSSP_ASSIGN_OR_RETURN(result,
                               engine::QueryResult::Deserialize(fetched));
-        fresh.result = std::move(plain);
+        fresh.result = result;
       }
       dssp_->Store(app_id(), std::move(fresh));
     } else {
@@ -221,23 +225,26 @@ StatusOr<engine::QueryResult> ScalableApp::Query(
       s.served_stale = true;
       wire_counters_.stale_serves.fetch_add(1, std::memory_order_relaxed);
       blob = stale->blob;
+      result = std::move(stale->result);
     }
   }
 
   s.response_bytes = kRequestOverheadBytes + blob.size();
 
-  // Client-side decryption of the blob; a view-level blob is already the
-  // plaintext serialization.
-  std::string decrypted;
-  std::string_view serialized = blob;
-  if (level != analysis::ExposureLevel::kView) {
-    decrypted = home_.result_cipher().Decrypt(blob);
-    serialized = decrypted;
+  if (!result.has_value()) {
+    // Client-side decryption of the blob; a view-level blob is already the
+    // plaintext serialization.
+    std::string decrypted;
+    std::string_view serialized = blob;
+    if (level != analysis::ExposureLevel::kView) {
+      decrypted = home_.result_cipher().Decrypt(blob);
+      serialized = decrypted;
+    }
+    DSSP_ASSIGN_OR_RETURN(result,
+                          engine::QueryResult::Deserialize(serialized));
   }
-  DSSP_ASSIGN_OR_RETURN(engine::QueryResult result,
-                        engine::QueryResult::Deserialize(serialized));
-  s.result_rows = result.num_rows();
-  return result;
+  s.result_rows = result->num_rows();
+  return *std::move(result);
 }
 
 StatusOr<engine::UpdateEffect> ScalableApp::Update(

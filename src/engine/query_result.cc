@@ -26,20 +26,21 @@ std::vector<std::string> EncodedRows(const std::vector<Row>& rows,
 }  // namespace
 
 bool QueryResult::SameResult(const QueryResult& other) const {
-  if (column_names_ != other.column_names_) return false;
-  if (rows_.size() != other.rows_.size()) return false;
-  if (ordered_ != other.ordered_) return false;
-  const std::vector<std::string> a = EncodedRows(rows_, !ordered_);
-  const std::vector<std::string> b = EncodedRows(other.rows_, !other.ordered_);
+  if (column_names() != other.column_names()) return false;
+  if (num_rows() != other.num_rows()) return false;
+  if (ordered() != other.ordered()) return false;
+  const std::vector<std::string> a = EncodedRows(rows(), !ordered());
+  const std::vector<std::string> b =
+      EncodedRows(other.rows(), !other.ordered());
   return a == b;
 }
 
 uint64_t QueryResult::Fingerprint() const {
-  uint64_t h = Hash64(ordered_ ? "ordered" : "unordered");
-  for (const std::string& name : column_names_) {
+  uint64_t h = Hash64(ordered() ? "ordered" : "unordered");
+  for (const std::string& name : column_names()) {
     h = HashCombine(h, Hash64(name));
   }
-  for (const std::string& row : EncodedRows(rows_, !ordered_)) {
+  for (const std::string& row : EncodedRows(rows(), !ordered())) {
     h = HashCombine(h, Hash64(row));
   }
   return h;
@@ -47,17 +48,17 @@ uint64_t QueryResult::Fingerprint() const {
 
 std::string QueryResult::Serialize() const {
   std::string out;
-  out.push_back(ordered_ ? 1 : 0);
-  const uint64_t ncols = column_names_.size();
+  out.push_back(ordered() ? 1 : 0);
+  const uint64_t ncols = num_columns();
   out.append(reinterpret_cast<const char*>(&ncols), sizeof(ncols));
-  for (const std::string& name : column_names_) {
+  for (const std::string& name : column_names()) {
     const uint64_t len = name.size();
     out.append(reinterpret_cast<const char*>(&len), sizeof(len));
     out += name;
   }
-  const uint64_t nrows = rows_.size();
+  const uint64_t nrows = num_rows();
   out.append(reinterpret_cast<const char*>(&nrows), sizeof(nrows));
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     for (const sql::Value& v : row) out += v.EncodeForKey();
   }
   return out;
@@ -89,10 +90,11 @@ StatusOr<QueryResult> QueryResult::Deserialize(std::string_view data) {
     pos += len;
   }
 
-  // Every value takes at least one byte, which bounds a sane row count.
+  // Every value takes at least one byte, which bounds a sane row count; a
+  // result without columns has no rows.
   uint64_t nrows = 0;
   if (!read_u64(&nrows) ||
-      (ncols != 0 && nrows > (data.size() - pos) / ncols)) {
+      nrows > (ncols == 0 ? 0 : (data.size() - pos) / ncols)) {
     return InvalidArgumentError("malformed result blob (row count)");
   }
   std::vector<Row> rows;
@@ -114,15 +116,15 @@ StatusOr<QueryResult> QueryResult::Deserialize(std::string_view data) {
 
 std::string QueryResult::ToDebugString(size_t max_rows) const {
   std::string out;
-  for (size_t i = 0; i < column_names_.size(); ++i) {
+  for (size_t i = 0; i < num_columns(); ++i) {
     if (i != 0) out += " | ";
-    out += column_names_[i];
+    out += column_names()[i];
   }
   out += "\n";
   size_t shown = 0;
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     if (shown++ >= max_rows) {
-      out += "... (" + std::to_string(rows_.size() - max_rows) +
+      out += "... (" + std::to_string(num_rows() - max_rows) +
              " more rows)\n";
       break;
     }
@@ -132,7 +134,7 @@ std::string QueryResult::ToDebugString(size_t max_rows) const {
     }
     out += "\n";
   }
-  out += "(" + std::to_string(rows_.size()) + " rows)";
+  out += "(" + std::to_string(num_rows()) + " rows)";
   return out;
 }
 

@@ -2,8 +2,10 @@
 #define DSSP_ENGINE_QUERY_RESULT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -14,28 +16,36 @@ namespace dssp::engine {
 using Row = std::vector<sql::Value>;
 
 // The materialized result of a query: the unit the DSSP caches, encrypts,
-// and invalidates.
+// and invalidates. An immutable value: copies share one representation, so
+// a copy costs a reference-count increment, and a moved-from result reads as
+// empty.
 class QueryResult {
  public:
-  QueryResult() = default;
+  QueryResult() : rep_(EmptyRep()) {}
   QueryResult(std::vector<std::string> column_names, std::vector<Row> rows,
               bool ordered)
-      : column_names_(std::move(column_names)),
-        rows_(std::move(rows)),
-        ordered_(ordered) {}
+      : rep_(std::make_shared<const Rep>(
+            Rep{std::move(column_names), std::move(rows), ordered})) {}
+  QueryResult(const QueryResult&) = default;
+  QueryResult& operator=(const QueryResult&) = default;
+  QueryResult(QueryResult&& other) noexcept
+      : rep_(std::exchange(other.rep_, EmptyRep())) {}
+  QueryResult& operator=(QueryResult&& other) noexcept {
+    rep_ = std::exchange(other.rep_, EmptyRep());
+    return *this;
+  }
 
   const std::vector<std::string>& column_names() const {
-    return column_names_;
+    return rep_->column_names;
   }
-  const std::vector<Row>& rows() const { return rows_; }
-  std::vector<Row>& rows() { return rows_; }
+  const std::vector<Row>& rows() const { return rep_->rows; }
 
   // True if the query had an ORDER BY (row order is part of the result).
-  bool ordered() const { return ordered_; }
+  bool ordered() const { return rep_->ordered; }
 
-  size_t num_rows() const { return rows_.size(); }
-  size_t num_columns() const { return column_names_.size(); }
-  bool empty() const { return rows_.empty(); }
+  size_t num_rows() const { return rep_->rows.size(); }
+  size_t num_columns() const { return rep_->column_names.size(); }
+  bool empty() const { return rep_->rows.empty(); }
 
   // Result equality per the paper's correctness definition Q[D] = Q[D+U]:
   // sequence equality for ordered results, multiset equality otherwise.
@@ -58,9 +68,20 @@ class QueryResult {
   std::string ToDebugString(size_t max_rows = 20) const;
 
  private:
-  std::vector<std::string> column_names_;
-  std::vector<Row> rows_;
-  bool ordered_ = false;
+  struct Rep {
+    std::vector<std::string> column_names;
+    std::vector<Row> rows;
+    bool ordered = false;
+  };
+
+  // A shared empty Rep with no control block, so taking it touches no
+  // reference count.
+  static std::shared_ptr<const Rep> EmptyRep() {
+    static const Rep kEmpty;
+    return std::shared_ptr<const Rep>(std::shared_ptr<const Rep>(), &kEmpty);
+  }
+
+  std::shared_ptr<const Rep> rep_;  // Never null.
 };
 
 }  // namespace dssp::engine

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+
+#include "common/random.h"
 #include "crypto/keyring.h"
 #include "dssp/app.h"
+#include "sim/workload.h"
+#include "workloads/application.h"
 #include "workloads/toystore.h"
 
 namespace dssp::service {
@@ -226,6 +234,131 @@ TEST_F(AppTest, NodeRejectsDuplicateRegistration) {
   EXPECT_TRUE(dssp_.HasApp("toystore"));
   EXPECT_FALSE(dssp_.HasApp("ghost"));
 }
+
+// Forwards to a DsspNode and remembers the entry the latest shared lookup
+// returned and the key of the latest fill, so a test can reach the cached
+// entry behind each answer.
+class EntrySpy : public CacheBackend {
+ public:
+  Status RegisterApp(std::string app_id, const catalog::Catalog* catalog,
+                     const templates::TemplateSet* templates) override {
+    return node.RegisterApp(std::move(app_id), catalog, templates);
+  }
+  std::optional<CacheEntry> Lookup(const std::string& app_id,
+                                   const std::string& key) override {
+    return node.Lookup(app_id, key);
+  }
+  std::shared_ptr<const CacheEntry> LookupShared(
+      const std::string& app_id, const std::string& key) override {
+    last_lookup = node.LookupShared(app_id, key);
+    return last_lookup;
+  }
+  std::optional<CacheEntry> LookupStale(const std::string& app_id,
+                                        const std::string& key,
+                                        uint64_t max_updates_behind) override {
+    return node.LookupStale(app_id, key, max_updates_behind);
+  }
+  void Store(const std::string& app_id, CacheEntry entry) override {
+    last_stored_key = entry.key;
+    node.Store(app_id, std::move(entry));
+  }
+  size_t OnUpdate(const std::string& app_id,
+                  const UpdateNotice& notice) override {
+    return node.OnUpdate(app_id, notice);
+  }
+  size_t ClearCache(const std::string& app_id) override {
+    return node.ClearCache(app_id);
+  }
+  void SetStaleRetention(const std::string& app_id,
+                         size_t max_entries) override {
+    node.SetStaleRetention(app_id, max_entries);
+  }
+
+  DsspNode node;
+  std::shared_ptr<const CacheEntry> last_lookup;
+  std::string last_stored_key;
+};
+
+// A view-level hit hands back the cached entry's own decoded result, and a
+// view-level fill hands back the result it stored; the encrypted levels
+// still decode a result of their own for every answer. Covers every query
+// template the sessions of the four workloads issue. The rest are never
+// issued: bookstore Q17 and Q22, auction Q4 and Q17-Q19, bboard Q16.
+class ViewResultSharingTest
+    : public ::testing::TestWithParam<std::tuple<std::string, size_t>> {};
+
+TEST_P(ViewResultSharingTest, ViewHitsShareTheStoredResult) {
+  const auto& [app_name, issued_templates] = GetParam();
+  EntrySpy spy;
+  ScalableApp app(app_name, &spy,
+                  crypto::KeyRing::FromPassphrase("sharing"));
+  auto workload = workloads::MakeApplication(app_name);
+  ASSERT_TRUE(workload->Setup(app, 0.25, 41).ok());
+  ASSERT_TRUE(app.Finalize().ok());
+
+  // One instance of every query template the sessions issue. Updates are
+  // not applied, so each instance reads the populated database.
+  std::map<std::string, std::vector<Value>> instances;
+  auto session = workload->NewSession(8);
+  Rng rng(55);
+  for (int page = 0; page < 2000; ++page) {
+    for (const sim::DbOp& op : session->NextPage(rng)) {
+      if (!op.is_update) instances.emplace(op.template_id, op.params);
+    }
+  }
+  ASSERT_EQ(instances.size(), issued_templates);
+
+  for (ExposureLevel level :
+       {ExposureLevel::kView, ExposureLevel::kStmt, ExposureLevel::kTemplate,
+        ExposureLevel::kBlind}) {
+    ExposureAssignment exposure = ExposureAssignment::FullExposure(
+        app.templates().num_queries(), app.templates().num_updates());
+    for (auto& query_level : exposure.query_levels) query_level = level;
+    ASSERT_TRUE(app.SetExposure(exposure).ok());
+    for (const auto& [template_id, params] : instances) {
+      const std::string where =
+          app_name + " " + template_id + " " + ExposureLevelName(level);
+      AccessStats stats;
+      auto fill = app.Query(template_id, params, &stats);
+      ASSERT_TRUE(fill.ok()) << where;
+      ASSERT_FALSE(stats.cache_hit) << where;
+      const std::shared_ptr<const CacheEntry> stored =
+          spy.node.LookupShared(app_name, spy.last_stored_key);
+      ASSERT_NE(stored, nullptr) << where;
+
+      auto hit = app.Query(template_id, params, &stats);
+      ASSERT_TRUE(hit.ok()) << where;
+      ASSERT_TRUE(stats.cache_hit) << where;
+      ASSERT_EQ(spy.last_lookup, stored) << where;
+      EXPECT_EQ(stats.result_rows, hit->num_rows()) << where;
+      EXPECT_TRUE(hit->SameResult(*fill)) << where;
+
+      if (level == ExposureLevel::kView) {
+        ASSERT_TRUE(stored->result.has_value()) << where;
+        EXPECT_EQ(&fill->rows(), &stored->result->rows()) << where;
+        EXPECT_EQ(&hit->rows(), &stored->result->rows()) << where;
+        auto decoded = engine::QueryResult::Deserialize(stored->blob);
+        ASSERT_TRUE(decoded.ok()) << where;
+        EXPECT_TRUE(hit->SameResult(*decoded)) << where;
+      } else {
+        EXPECT_FALSE(stored->result.has_value()) << where;
+        EXPECT_NE(&hit->rows(), &fill->rows()) << where;
+        auto decoded = engine::QueryResult::Deserialize(
+            app.home().result_cipher().Decrypt(stored->blob));
+        ASSERT_TRUE(decoded.ok()) << where;
+        EXPECT_TRUE(hit->SameResult(*decoded)) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, ViewResultSharingTest,
+    ::testing::Values(std::make_tuple("toystore", 3),
+                      std::make_tuple("bookstore", 26),
+                      std::make_tuple("auction", 18),
+                      std::make_tuple("bboard", 17)),
+    [](const auto& info) { return std::get<0>(info.param); });
 
 }  // namespace
 }  // namespace dssp::service

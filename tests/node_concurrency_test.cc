@@ -2,9 +2,11 @@
 // lookup/store/update/admin traffic from real threads across two tenants,
 // at template and statement exposure, so both the plain group scan and the
 // predicate-index probe (its by_value buckets and per-thread probe memo)
-// run concurrently.
+// run concurrently. View-level query results shared out of cached entries
+// are raced against the overwrite, invalidation and eviction of the entry.
 // Run under ThreadSanitizer (cmake -DDSSP_TSAN=ON) to hunt races; the
-// assertions here only check that counters and indexes stay consistent.
+// assertions here only check that counters, indexes and held results stay
+// consistent.
 
 #include <gtest/gtest.h>
 
@@ -262,6 +264,118 @@ TEST_F(NodeConcurrencyTest, HeldEntriesSurviveInvalidationAndRestore) {
   EXPECT_GT(hits.load(), 0u);
   const DsspStats stats = node_.stats(tenant);
   EXPECT_EQ(stats.hits + stats.misses + stats.stale_hits, stats.lookups);
+}
+
+// Readers answer one hot view-level query from the entry's shared decoded
+// result while a writer overwrites, invalidates, evicts and clears that
+// entry. Every result a reader still holds must read the same after the
+// entry is gone, and a moved-from result must read as empty.
+TEST_F(NodeConcurrencyTest, HeldViewResultsOutliveTheirEntry) {
+  constexpr int kMinRounds = 400;
+  constexpr int kReaders = 3;
+  constexpr int kQueriesPerReader = 2000;
+  constexpr size_t kHeldPerReader = 64;
+  const std::string tenant = "tenant-a";
+  ScalableApp& app = *apps_[0];  // Full exposure: every query at view level.
+  // Q3: SELECT cust_name FROM customers, credit_card WHERE ... zip_code = ?
+  const templates::QueryTemplate& hot_template = app.templates().queries()[2];
+
+  // Cards for customers 51..58 under customer 1's zip code, so the hot
+  // result has several rows.
+  for (int64_t cid = 51; cid <= 58; ++cid) {
+    ASSERT_TRUE(app.home()
+                    .database()
+                    .InsertRow("credit_card",
+                               {Value(cid), Value("4111"), Value(10001)})
+                    .ok());
+  }
+  const std::vector<Value> hot = {Value(10001)};
+  auto direct =
+      app.home().database().ExecuteQuery(hot_template.Bind(hot));
+  ASSERT_TRUE(direct.ok());
+  const engine::QueryResult reference = std::move(*direct);
+  ASSERT_EQ(reference.num_rows(), 9u);
+  std::string key = "s:";
+  hot_template.Render(hot, &key);
+  ASSERT_TRUE(app.Query("Q3", hot).ok());
+  ASSERT_NE(node_.LookupShared(tenant, key), nullptr);
+
+  std::atomic<int> readers_left{kReaders};
+  std::atomic<uint64_t> hits{0};
+  std::vector<std::vector<engine::QueryResult>> held(kReaders);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    const UpdateNotice blind;  // Invalidates every entry of the tenant.
+    for (int round = 1;
+         round <= kMinRounds || readers_left.load(std::memory_order_acquire);
+         ++round) {
+      switch (round % 4) {
+        case 0: {  // Overwrite with an entry holding its own decode.
+          const std::shared_ptr<const CacheEntry> current =
+              node_.LookupShared(tenant, key);
+          if (current == nullptr) break;
+          CacheEntry copy = *current;
+          copy.result = engine::QueryResult::Deserialize(copy.blob).value();
+          node_.Store(tenant, std::move(copy));
+          break;
+        }
+        case 1:
+          node_.OnUpdate(tenant, blind);
+          break;
+        case 2:  // Evict: a one-entry cap, then a fill of another query.
+          node_.SetCacheCapacity(tenant, 1);
+          EXPECT_TRUE(app.Query("Q2", {Value(int64_t{round % 50})}).ok());
+          node_.SetCacheCapacity(tenant, 0);
+          break;
+        default:
+          node_.ClearCache(tenant);
+          break;
+      }
+    }
+  });
+  for (int reader = 0; reader < kReaders; ++reader) {
+    threads.emplace_back([&, reader] {
+      // A failed ASSERT returns from `read` only, so the writer still stops.
+      const auto read = [&] {
+        std::vector<engine::QueryResult>& mine = held[reader];
+        size_t next = 0;
+        for (int i = 0; i < kQueriesPerReader; ++i) {
+          AccessStats stats;
+          auto answer = app.Query("Q3", hot, &stats);
+          ASSERT_TRUE(answer.ok());
+          if (stats.cache_hit) hits.fetch_add(1, std::memory_order_relaxed);
+          ASSERT_TRUE(answer->SameResult(reference));
+          engine::QueryResult kept = std::move(*answer);
+          ASSERT_TRUE(answer->empty());
+          ASSERT_EQ(answer->num_columns(), 0u);
+          if (mine.size() < kHeldPerReader) {
+            mine.push_back(std::move(kept));
+          } else {
+            mine[next] = std::move(kept);
+            next = (next + 1) % kHeldPerReader;
+          }
+          if (i % 16 == 0) {
+            for (const engine::QueryResult& result : mine) {
+              ASSERT_TRUE(result.SameResult(reference));
+            }
+          }
+        }
+      };
+      read();
+      readers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_GT(hits.load(), 0u);
+
+  node_.ClearCache(tenant);
+  ASSERT_EQ(node_.LookupShared(tenant, key), nullptr);
+  for (const std::vector<engine::QueryResult>& mine : held) {
+    EXPECT_FALSE(mine.empty());
+    for (const engine::QueryResult& result : mine) {
+      EXPECT_TRUE(result.SameResult(reference));
+    }
+  }
 }
 
 TEST(QueryCacheConcurrencyTest, ShardedCacheSurvivesMixedMutation) {

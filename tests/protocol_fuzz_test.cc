@@ -7,7 +7,8 @@
 // bounds check and walked past the end of the frame. The inter-node wire is
 // fuzzed end to end too: the invalidation bus endpoint (NodeChannel) answers
 // every frame with a sealed, decodable reply, and the retired frame byte 8
-// is refused everywhere.
+// is refused everywhere. The result blob a view-level response carries is
+// decoded too, as the client decodes it.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "crypto/keyring.h"
 #include "dssp/node.h"
 #include "dssp/protocol.h"
+#include "engine/query_result.h"
 
 namespace dssp::service {
 namespace {
@@ -54,8 +56,12 @@ void ExerciseAllDecoders(const std::string& frame) {
   (void)DecodeProbeRequest(frame);
   (void)DecodeProbeResponse(frame);
   (void)Unseal(frame);
-  (void)UnwrapQueryResponse(frame);
   (void)UnwrapUpdateResponse(frame);
+  // A view-level response carries a plaintext result the client decodes.
+  (void)engine::QueryResult::Deserialize(frame);
+  if (auto blob = UnwrapQueryResponse(frame); blob.ok()) {
+    (void)engine::QueryResult::Deserialize(*blob);
+  }
 }
 
 // A random bus notice: legal and illegal levels (3 is kView, never legal for
@@ -94,6 +100,26 @@ InvalidateBatchResponse RandomAcks(Rng& rng) {
     }
   }
   return response;
+}
+
+// A serialized result of 0..3 columns and 0..4 rows, as a view-level
+// response carries it.
+std::string RandomResultBlob(Rng& rng) {
+  const size_t ncols = rng.NextBelow(4);
+  std::vector<std::string> names;
+  for (size_t c = 0; c < ncols; ++c) names.push_back(RandomBytes(rng, 3));
+  std::vector<engine::Row> rows(ncols == 0 ? 0 : rng.NextBelow(5));
+  for (engine::Row& row : rows) {
+    for (size_t c = 0; c < ncols; ++c) {
+      const uint64_t kind = rng.NextBelow(3);
+      row.push_back(kind == 0   ? sql::Value(static_cast<int64_t>(rng.Next()))
+                    : kind == 1 ? sql::Value(RandomBytes(rng, 5))
+                                : sql::Value::Null());
+    }
+  }
+  return engine::QueryResult(std::move(names), std::move(rows),
+                             rng.NextBool(0.5))
+      .Serialize();
 }
 
 // One random structural mutation; always returns a string != `frame` unless
@@ -166,6 +192,27 @@ TEST(ProtocolOverflowRegressionTest, WrappingLengthsAreRejectedEverywhere) {
     AppendLe64(&error, length);  // ...then a wrapping message length.
     error += std::string(32, 'e');
     EXPECT_FALSE(DecodeErrorResponse(error).ok()) << length;
+  }
+}
+
+TEST(ProtocolOverflowRegressionTest, ZeroColumnHugeRowCountIsRejected) {
+  // A view-level response whose result blob has no columns and 2^61 rows.
+  // The row-count bound once skipped results without columns, so decoding
+  // reached `rows.reserve(2^61)`, which threw std::length_error and aborted.
+  std::string blob(1, '\x00');  // Unordered.
+  AppendLe64(&blob, 0);          // Columns.
+  AppendLe64(&blob, uint64_t{1} << 61);  // Rows.
+  ASSERT_EQ(blob.size(), 17u);
+  auto unwrapped = UnwrapQueryResponse(Encode(QueryResponse{blob}));
+  ASSERT_TRUE(unwrapped.ok());
+  auto decoded = engine::QueryResult::Deserialize(*unwrapped);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  for (const uint64_t rows : {uint64_t{1}, UINT64_MAX}) {
+    std::string other(1, '\x01');
+    AppendLe64(&other, 0);
+    AppendLe64(&other, rows);
+    EXPECT_FALSE(engine::QueryResult::Deserialize(other).ok()) << rows;
   }
 }
 
@@ -265,7 +312,7 @@ TEST(ProtocolMutationFuzzTest, MutatedFramesNeverCrashAnyDecoder) {
   for (int trial = 0; trial < 2000; ++trial) {
     const std::string payload = RandomBytes(rng, rng.NextBelow(64));
     std::string frame;
-    switch (rng.NextBelow(11)) {
+    switch (rng.NextBelow(12)) {
       case 0: frame = Encode(QueryRequest{payload, rng.NextBool(0.5)}); break;
       case 1: frame = Encode(QueryResponse{payload}); break;
       case 2:
@@ -281,6 +328,7 @@ TEST(ProtocolMutationFuzzTest, MutatedFramesNeverCrashAnyDecoder) {
       case 7: frame = Encode(RandomAcks(rng)); break;
       case 8: frame = Encode(ProbeRequest{rng.Next()}); break;
       case 9: frame = Encode(ProbeResponse{rng.Next()}); break;
+      case 10: frame = Encode(QueryResponse{RandomResultBlob(rng)}); break;
       default: frame = Seal(Encode(QueryResponse{payload})); break;
     }
     // Up to three stacked mutations.

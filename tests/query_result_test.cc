@@ -85,15 +85,59 @@ TEST(QueryResultTest, DeserializeRejectsGarbage) {
   const std::string good = Make({{Value(1), Value("x")}}, false).Serialize();
   EXPECT_FALSE(QueryResult::Deserialize(good.substr(0, good.size() - 3)).ok());
   EXPECT_FALSE(QueryResult::Deserialize(good + "zz").ok());
+
+  // No columns but 2^61 rows: 17 bytes that once reached `rows.reserve`
+  // unchecked, which threw std::length_error and aborted.
+  std::string no_columns(1, '\0');
+  const uint64_t zero = 0;
+  const uint64_t huge = uint64_t{1} << 61;
+  no_columns.append(reinterpret_cast<const char*>(&zero), sizeof(zero));
+  no_columns.append(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  ASSERT_EQ(no_columns.size(), 17u);
+  EXPECT_FALSE(QueryResult::Deserialize(no_columns).ok());
+  // Without columns only an empty row list is well formed.
+  EXPECT_TRUE(QueryResult::Deserialize(QueryResult().Serialize()).ok());
 }
 
 TEST(QueryResultTest, ByteSizeTracksContent) {
   const QueryResult small = Make({{Value(1), Value("x")}}, false);
-  QueryResult big = small;
+  std::vector<Row> rows = small.rows();
   for (int i = 0; i < 100; ++i) {
-    big.rows().push_back({Value(i), Value(std::string(50, 'y'))});
+    rows.push_back({Value(i), Value(std::string(50, 'y'))});
   }
+  const QueryResult big = Make(std::move(rows), false);
   EXPECT_GT(big.ByteSize(), small.ByteSize() + 5000);
+}
+
+TEST(QueryResultTest, CopiesShareOneRepresentation) {
+  const QueryResult original = Make({{Value(1), Value("x")}}, true);
+  const QueryResult copy = original;
+  EXPECT_EQ(&copy.rows(), &original.rows());
+  EXPECT_EQ(&copy.column_names(), &original.column_names());
+  QueryResult assigned;
+  assigned = copy;
+  EXPECT_EQ(&assigned.rows(), &original.rows());
+  EXPECT_TRUE(assigned.ordered());
+}
+
+// Reading a moved-from result is the subject here: it must read as the
+// empty result, never reach through a null representation.
+TEST(QueryResultTest, MovedFromResultReadsAsEmpty) {
+  QueryResult source = Make({{Value(1), Value("x")}}, true);
+  const std::vector<Row>* storage = &source.rows();
+  QueryResult target = std::move(source);
+  EXPECT_EQ(&target.rows(), storage);
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.num_columns(), 0u);
+  EXPECT_FALSE(source.ordered());
+  EXPECT_TRUE(source.SameResult(QueryResult()));
+  EXPECT_EQ(source.Serialize(), QueryResult().Serialize());
+
+  QueryResult assigned;
+  assigned = std::move(target);
+  EXPECT_EQ(&assigned.rows(), storage);
+  EXPECT_TRUE(target.empty());
+  EXPECT_EQ(target.num_columns(), 0u);
 }
 
 TEST(QueryResultTest, DebugStringTruncates) {
